@@ -37,6 +37,19 @@ jq -e 'type == "array" and length == 2' /tmp/codesign_smoke_sweep.json > /dev/nu
 jq -e '.traceEvents | length > 0' /tmp/codesign_smoke_trace.json > /dev/null
 echo "    sweep output and trace both parse as JSON"
 
+# Thermal kernel gate: the SOR sweep count of a solve is exact and
+# noise-free, so a kernel change that alters a single bit of the
+# relaxation (and with it the convergence point) shows here. The counts
+# are those of the per-cell reference stencil.
+echo "==> thermal SOR sweep-count gate (glass3d 1360, silicon3d 828)"
+sor_sweeps() {
+    cargo run --release -q -p codesign --bin codesign -- "$1" --stats 2>&1 > /dev/null \
+        | awk '$1 == "thermal.sor_sweeps" { print $2 }'
+}
+test "$(sor_sweeps glass3d)" -eq 1360
+test "$(sor_sweeps silicon3d)" -eq 828
+echo "    thermal gate: sweep counts match the reference stencil"
+
 # Warm-cache smoke: the same sweep through a disk-backed artifact store
 # must stay byte-identical to the uncached reference, both on the cold
 # run that populates the cache and on a second process that replays it.

@@ -161,10 +161,10 @@ pub fn run_scenario(scenario: &Scenario) -> Result<TechStudy, FlowError> {
 }
 
 /// Runs the study for all six packaged technologies, fanning the
-/// independent per-technology studies out across scoped threads
-/// ([`exec::try_ordered_map`]). Results are in `PACKAGED` order and
-/// byte-identical to [`run_all_sequential`] — every study is
-/// self-contained and all RNG is fixed-seed.
+/// independent per-technology studies out across scoped threads,
+/// longest first (APX first, Silicon 3D last). Results are in
+/// `PACKAGED` order and byte-identical to [`run_all_sequential`] —
+/// every study is self-contained and all RNG is fixed-seed.
 ///
 /// # Errors
 ///
@@ -186,9 +186,36 @@ pub fn run_all(mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
 /// Per-technology failures, first failing technology in `PACKAGED`
 /// order.
 pub fn run_all_in(ctx: &StudyContext, mode: MonitorLengths) -> Result<Vec<TechStudy>, FlowError> {
-    exec::try_ordered_map(&InterposerKind::PACKAGED, |&tech| {
-        run_tech_in(ctx, tech, mode)
-    })
+    claim_longest_first(|tech| run_tech_in(ctx, tech, mode))
+}
+
+/// The order [`run_all_in`] claims technologies in: longest study
+/// first, so APX, the critical path, starts at once instead of behind
+/// five shorter studies. Layout + thermal ms per technology in a traced
+/// `paper_cold` run on a 2-vCPU host: APX 5,173, Shinko 2,709,
+/// Glass 2.5D 1,640, Silicon 2.5D 298, Glass 3D 91, Silicon 3D 17.
+const CLAIM_ORDER: [InterposerKind; 6] = [
+    InterposerKind::Apx,
+    InterposerKind::Shinko,
+    InterposerKind::Glass25D,
+    InterposerKind::Silicon25D,
+    InterposerKind::Glass3D,
+    InterposerKind::Silicon3D,
+];
+
+/// Runs `study` for every packaged technology, claimed in
+/// [`CLAIM_ORDER`] and committed by index in `PACKAGED` order: the
+/// results, and on failure the first failing technology in `PACKAGED`
+/// order, exactly as [`run_all_sequential`] reports them.
+fn claim_longest_first<T, E, F>(study: F) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(InterposerKind) -> Result<T, E> + Sync,
+{
+    let mut done = exec::ordered_map(&CLAIM_ORDER, |&tech| (tech, study(tech)));
+    done.sort_by_key(|&(tech, _)| InterposerKind::PACKAGED.iter().position(|&p| p == tech));
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Sequential reference implementation of [`run_all`] (same work, one
@@ -233,6 +260,28 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("Glass3D"));
         assert!(json.len() > 1000);
+    }
+
+    #[test]
+    fn claim_order_is_a_permutation_of_packaged_starting_with_apx() {
+        let mut claimed = CLAIM_ORDER.to_vec();
+        assert_eq!(claimed[0], InterposerKind::Apx);
+        claimed.sort_by_key(|t| t.index());
+        let mut packaged = InterposerKind::PACKAGED.to_vec();
+        packaged.sort_by_key(|t| t.index());
+        assert_eq!(claimed, packaged);
+    }
+
+    #[test]
+    fn longest_first_reports_the_first_failure_in_packaged_order() {
+        // APX is claimed first, but Glass 2.5D comes first in PACKAGED,
+        // so its error is the one a sequential loop would report.
+        let out: Result<Vec<InterposerKind>, &str> = claim_longest_first(|tech| match tech {
+            InterposerKind::Glass25D => Err("glass25d failed"),
+            InterposerKind::Apx => Err("apx failed"),
+            _ => Ok(tech),
+        });
+        assert_eq!(out.unwrap_err(), "glass25d failed");
     }
 
     #[test]

@@ -82,7 +82,8 @@ fn thermal_codec() -> Codec<ThermalReport> {
 }
 
 /// A per-scenario thermal-report cache: one memo cell per technology
-/// (the field is deterministic and each solve takes ~a second). Only
+/// (the field is deterministic, and one solve runs 690–1,360 SOR
+/// sweeps, 17–160 ms on a 2-vCPU host). Only
 /// **successes** are memoised — an error (including one injected at the
 /// `thermal.solve` fault site) is returned to the caller and the next
 /// call re-solves, so failures never poison the cache.

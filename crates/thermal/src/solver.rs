@@ -7,14 +7,15 @@
 //! Sweeps use **red-black ordering**: cells are two-coloured by
 //! `(x + y + z) % 2`, and each half-sweep updates one colour. Under the
 //! 7-point stencil every neighbour of a cell has the opposite colour, so
-//! all updates within a half-sweep are independent — rows can run on any
-//! number of workers ([`techlib::par::thread_count`]) and the arithmetic
-//! (and therefore the converged field) is bit-identical regardless of
-//! worker count or row order.
+//! the updates within a half-sweep are independent and their order does
+//! not change a bit. Every conductance is computed once per solve; the
+//! sweeps then run inline on one flat field padded by a layer of ambient
+//! ghost cells, which stand in for the convection boundaries. Grids are
+//! small (1.8k–17k cells), so parallelism lives a level up, across
+//! technologies and scenarios.
 
 use crate::model::{ThermalModel, CELL_XY_M};
 use crate::{ThermalError, AMBIENT_C};
-use std::cell::UnsafeCell;
 
 /// Fixed lateral "board spreading" conductance distributed over the
 /// bottom face, W/K — models heat escaping into the motherboard beyond
@@ -141,30 +142,12 @@ pub fn solve(model: &ThermalModel, config: &SolveConfig) -> Result<TemperatureFi
 ///
 /// # Errors
 ///
-/// Same as [`solve`].
+/// Same as [`solve`], plus the `thermal.sor` fault site (which reports a
+/// zero-iteration non-convergence without sweeping).
 pub fn solve_with_boundaries(
     model: &ThermalModel,
     config: &SolveConfig,
     bounds: &Boundaries,
-) -> Result<TemperatureField, ThermalError> {
-    solve_with_workers(model, config, bounds, techlib::par::thread_count())
-}
-
-/// [`solve_with_boundaries`] with an explicit worker count (for the
-/// worker-invariance tests and benchmarks). The returned field is
-/// bit-identical for every `workers` value — including the error path:
-/// convergence is judged on the deterministic residual, so every worker
-/// count reports the same [`ThermalError::NoConvergence`].
-///
-/// # Errors
-///
-/// Same as [`solve`], plus the `thermal.sor` fault site (which reports a
-/// zero-iteration non-convergence without sweeping).
-pub fn solve_with_workers(
-    model: &ThermalModel,
-    config: &SolveConfig,
-    bounds: &Boundaries,
-    workers: usize,
 ) -> Result<TemperatureField, ThermalError> {
     if techlib::faults::armed("thermal.sor") {
         return Err(ThermalError::NoConvergence {
@@ -173,7 +156,7 @@ pub fn solve_with_workers(
             tolerance_k: config.tolerance_k,
         });
     }
-    let (field, residual_k) = sor_sweeps(model, config, bounds, workers);
+    let (field, residual_k) = sor_sweeps(model, config, bounds);
     if residual_k < config.tolerance_k {
         Ok(field)
     } else {
@@ -186,160 +169,103 @@ pub fn solve_with_workers(
 }
 
 /// Runs the SOR sweeps and returns whatever field the iteration cap
-/// allows, converged or not — the escape hatch for worker-invariance
-/// tests and benchmarks that deliberately under-iterate. Prefer
-/// [`solve_with_workers`], which turns a non-converged field into a
-/// typed error.
-pub fn solve_capped_with_workers(
+/// allows, converged or not — the escape hatch for tests and benchmarks
+/// that deliberately under-iterate. Prefer [`solve_with_boundaries`],
+/// which turns a non-converged field into a typed error.
+pub fn solve_capped(
     model: &ThermalModel,
     config: &SolveConfig,
     bounds: &Boundaries,
-    workers: usize,
 ) -> TemperatureField {
-    sor_sweeps(model, config, bounds, workers).0
+    sor_sweeps(model, config, bounds).0
 }
 
 /// Red-black SOR core: returns the field plus the max per-sweep update
 /// of the last iteration (`INFINITY` when `max_iters == 0`).
+///
+/// The field is padded by one ghost cell on every face, held at
+/// [`AMBIENT_C`]. `gx[n]`, `gy[n]` and `gz[n]` are the conductances from
+/// cell `n` to its x+1, y+1 and z+1 neighbour; a link into a ghost cell
+/// carries the boundary term, so `g * t[ghost]` is exactly the
+/// `g * AMBIENT_C` of the boundary. Conductances, `g_sum` (summed x+1,
+/// x−1, y+1, y−1, z+1, z−1) and the sweep's `flux` accumulation keep
+/// the expressions and addition order of the per-cell stencil, so the
+/// field is bit-identical to recomputing them every sweep.
 fn sor_sweeps(
     model: &ThermalModel,
     config: &SolveConfig,
     bounds: &Boundaries,
-    workers: usize,
 ) -> (TemperatureField, f64) {
     let (nx, ny, nz) = (model.nx, model.ny, model.nz());
     let a_xy = CELL_XY_M * CELL_XY_M;
-    let n_bottom = (nx * ny) as f64;
+    let bottom = bounds.h_bottom * a_xy + bounds.board_spread_w_per_k / (nx * ny) as f64;
+    let (sy, sz) = (nx + 2, (nx + 2) * (ny + 2));
+    let len = sz * (nz + 2);
+    let at = |x: usize, y: usize, z: usize| (z + 1) * sz + (y + 1) * sy + x + 1;
 
-    // Precompute conductances.
-    // Lateral G between (x,y,z) and (x+1,y,z): harmonic mean over dx.
-    let g_lat = |z: usize, i: usize, j: usize| -> f64 {
-        let k1 = model.k_xy[z][i];
-        let k2 = model.k_xy[z][j];
-        let area = model.dz_m[z] * CELL_XY_M;
-        area / (CELL_XY_M / (2.0 * k1) + CELL_XY_M / (2.0 * k2))
-    };
-    // Vertical G between layer z and z+1 at cell i.
-    let g_vert = |z: usize, i: usize| -> f64 {
-        let k1 = model.k_z[z][i];
-        let k2 = model.k_z[z + 1][i];
-        a_xy / (model.dz_m[z] / (2.0 * k1) + model.dz_m[z + 1] / (2.0 * k2))
-    };
+    let (mut gx, mut gy, mut gz) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+    let (mut g_sum, mut power) = (vec![0.0; len], vec![0.0; len]);
+    for z in 0..nz {
+        let (k, dz) = (&model.k_xy[z], model.dz_m[z]);
+        // Lateral harmonic mean over dx; side-wall convection at walls.
+        let area = dz * CELL_XY_M;
+        let lateral =
+            |i: usize, j: usize| area / (CELL_XY_M / (2.0 * k[i]) + CELL_XY_M / (2.0 * k[j]));
+        let side = bounds.h_side * dz * CELL_XY_M;
+        for y in 0..ny {
+            for x in 0..nx {
+                let (i, n) = (y * nx + x, at(x, y, z));
+                if x == 0 {
+                    gx[n - 1] = side;
+                }
+                if y == 0 {
+                    gy[n - sy] = side;
+                }
+                if z == 0 {
+                    gz[n - sz] = bottom;
+                }
+                gx[n] = if x + 1 < nx { lateral(i, i + 1) } else { side };
+                gy[n] = if y + 1 < ny { lateral(i, i + nx) } else { side };
+                gz[n] = if z + 1 < nz {
+                    let (k1, k2) = (model.k_z[z][i], model.k_z[z + 1][i]);
+                    a_xy / (dz / (2.0 * k1) + model.dz_m[z + 1] / (2.0 * k2))
+                } else if model.top_die_mask[i] {
+                    bounds.h_top_die * a_xy
+                } else {
+                    bounds.h_top * a_xy
+                };
+                // The x−1, y−1 and z−1 links were set at earlier cells.
+                g_sum[n] = 0.0 + gx[n] + gx[n - 1] + gy[n] + gy[n - sy] + gz[n] + gz[n - sz];
+                power[n] = model.power[z][i];
+            }
+        }
+    }
 
-    // Temperature cells shared across row workers during a half-sweep.
-    //
-    // SAFETY (for both unsafe blocks below): a half-sweep writes only
-    // cells of the active colour, each `(z, y)` row appears exactly once
-    // in `rows` so every written cell belongs to exactly one task, and
-    // every read is either the task's own cell or an opposite-colour
-    // neighbour that no task writes during this half-sweep. The scope
-    // inside `ordered_map_with` joins all workers between half-sweeps.
-    struct SharedField(Vec<UnsafeCell<f64>>);
-    unsafe impl Sync for SharedField {}
-
-    let cells = nx * ny;
-    let field = SharedField(
-        (0..nz * cells)
-            .map(|_| UnsafeCell::new(AMBIENT_C))
-            .collect(),
-    );
-    let rows: Vec<(usize, usize)> = (0..nz).flat_map(|z| (0..ny).map(move |y| (z, y))).collect();
-
+    let mut t = vec![AMBIENT_C; len];
     let mut iterations = 0;
     let mut last_delta = f64::INFINITY;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         let mut max_delta: f64 = 0.0;
-        for color in 0..2usize {
-            // Capture the Sync wrapper, not its inner Vec (edition-2021
-            // closures would otherwise capture `field.0` directly).
-            let field = &field;
-            let read = move |node: usize| unsafe { *field.0[node].get() };
-            let deltas = techlib::par::ordered_map_with(workers, &rows, |&(z, y)| {
-                let zoff = z * cells;
-                let mut row_delta: f64 = 0.0;
-                let mut x = (color + y + z) % 2;
-                while x < nx {
-                    let i = y * nx + x;
-                    let mut g_sum = 0.0;
-                    let mut flux = model.power[z][i];
-
-                    // Lateral neighbours (or side convection at walls).
-                    if x + 1 < nx {
-                        let g = g_lat(z, i, i + 1);
-                        g_sum += g;
-                        flux += g * read(zoff + i + 1);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
+        for color in 0..2 {
+            for z in 0..nz {
+                for y in 0..ny {
+                    let row = at(0, y, z);
+                    for n in (row + (color + y + z) % 2..row + nx).step_by(2) {
+                        let mut flux = power[n];
+                        flux += gx[n] * t[n + 1];
+                        flux += gx[n - 1] * t[n - 1];
+                        flux += gy[n] * t[n + sy];
+                        flux += gy[n - sy] * t[n - sy];
+                        flux += gz[n] * t[n + sz];
+                        flux += gz[n - sz] * t[n - sz];
+                        let t_old = t[n];
+                        let t_relaxed = t_old + config.omega * (flux / g_sum[n] - t_old);
+                        max_delta = max_delta.max((t_relaxed - t_old).abs());
+                        t[n] = t_relaxed;
                     }
-                    if x > 0 {
-                        let g = g_lat(z, i - 1, i);
-                        g_sum += g;
-                        flux += g * read(zoff + i - 1);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if y + 1 < ny {
-                        let g = g_lat(z, i, i + nx);
-                        g_sum += g;
-                        flux += g * read(zoff + i + nx);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if y > 0 {
-                        let g = g_lat(z, i - nx, i);
-                        g_sum += g;
-                        flux += g * read(zoff + i - nx);
-                    } else {
-                        let g = bounds.h_side * model.dz_m[z] * CELL_XY_M;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-
-                    // Vertical neighbours / top+bottom boundaries.
-                    if z + 1 < nz {
-                        let g = g_vert(z, i);
-                        g_sum += g;
-                        flux += g * read(zoff + cells + i);
-                    } else {
-                        let h = if model.top_die_mask[i] {
-                            bounds.h_top_die
-                        } else {
-                            bounds.h_top
-                        };
-                        let g = h * a_xy;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-                    if z > 0 {
-                        let g = g_vert(z - 1, i);
-                        g_sum += g;
-                        flux += g * read(zoff - cells + i);
-                    } else {
-                        let g = bounds.h_bottom * a_xy + bounds.board_spread_w_per_k / n_bottom;
-                        g_sum += g;
-                        flux += g * AMBIENT_C;
-                    }
-
-                    let t_old = read(zoff + i);
-                    let t_new = flux / g_sum;
-                    let t_relaxed = t_old + config.omega * (t_new - t_old);
-                    row_delta = row_delta.max((t_relaxed - t_old).abs());
-                    unsafe { *field.0[zoff + i].get() = t_relaxed };
-                    x += 2;
                 }
-                row_delta
-            });
-            // f64::max is commutative and associative (no NaNs here), so
-            // the reduction is order-independent anyway; folding the
-            // ordered results keeps it visibly deterministic.
-            max_delta = deltas.into_iter().fold(max_delta, f64::max);
+            }
         }
         last_delta = max_delta;
         if max_delta < config.tolerance_k {
@@ -347,13 +273,19 @@ fn sor_sweeps(
         }
     }
 
-    let flat: Vec<f64> = field.0.into_iter().map(UnsafeCell::into_inner).collect();
     techlib::obs::add(techlib::obs::THERMAL_SOR_SWEEPS, iterations as u64);
+    let layers = (0..nz)
+        .map(|z| {
+            (0..ny)
+                .flat_map(|y| t[at(0, y, z)..at(0, y, z) + nx].iter().copied())
+                .collect()
+        })
+        .collect();
     (
         TemperatureField {
             nx,
             ny,
-            layers: flat.chunks(cells).map(<[f64]>::to_vec).collect(),
+            layers,
             iterations,
         },
         last_delta,
@@ -494,28 +426,139 @@ mod tests {
         assert!(field.iterations < SolveConfig::default().max_iters);
     }
 
+    /// The per-cell stencil the solver started from: every conductance is
+    /// recomputed as a harmonic mean on every sweep, boundaries are
+    /// branches, and both half-sweeps walk the grid in row order. The
+    /// production kernel must reproduce it bit for bit.
+    fn reference_sweeps(
+        model: &ThermalModel,
+        config: &SolveConfig,
+        bounds: &Boundaries,
+    ) -> TemperatureField {
+        let (nx, ny, nz) = (model.nx, model.ny, model.nz());
+        let a_xy = CELL_XY_M * CELL_XY_M;
+        let n_bottom = (nx * ny) as f64;
+        let g_lat = |z: usize, i: usize, j: usize| -> f64 {
+            let k1 = model.k_xy[z][i];
+            let k2 = model.k_xy[z][j];
+            let area = model.dz_m[z] * CELL_XY_M;
+            area / (CELL_XY_M / (2.0 * k1) + CELL_XY_M / (2.0 * k2))
+        };
+        let g_vert = |z: usize, i: usize| -> f64 {
+            let k1 = model.k_z[z][i];
+            let k2 = model.k_z[z + 1][i];
+            a_xy / (model.dz_m[z] / (2.0 * k1) + model.dz_m[z + 1] / (2.0 * k2))
+        };
+        let side = |z: usize| bounds.h_side * model.dz_m[z] * CELL_XY_M;
+
+        let cells = nx * ny;
+        let mut field = vec![AMBIENT_C; nz * cells];
+        let mut iterations = 0;
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            let mut max_delta: f64 = 0.0;
+            for color in 0..2usize {
+                for z in 0..nz {
+                    let zoff = z * cells;
+                    for y in 0..ny {
+                        let mut x = (color + y + z) % 2;
+                        while x < nx {
+                            let i = y * nx + x;
+                            let mut g_sum = 0.0;
+                            let mut flux = model.power[z][i];
+                            let mut add = |g: f64, t: f64| {
+                                g_sum += g;
+                                flux += g * t;
+                            };
+                            if x + 1 < nx {
+                                add(g_lat(z, i, i + 1), field[zoff + i + 1]);
+                            } else {
+                                add(side(z), AMBIENT_C);
+                            }
+                            if x > 0 {
+                                add(g_lat(z, i - 1, i), field[zoff + i - 1]);
+                            } else {
+                                add(side(z), AMBIENT_C);
+                            }
+                            if y + 1 < ny {
+                                add(g_lat(z, i, i + nx), field[zoff + i + nx]);
+                            } else {
+                                add(side(z), AMBIENT_C);
+                            }
+                            if y > 0 {
+                                add(g_lat(z, i - nx, i), field[zoff + i - nx]);
+                            } else {
+                                add(side(z), AMBIENT_C);
+                            }
+                            if z + 1 < nz {
+                                add(g_vert(z, i), field[zoff + cells + i]);
+                            } else {
+                                let h = if model.top_die_mask[i] {
+                                    bounds.h_top_die
+                                } else {
+                                    bounds.h_top
+                                };
+                                add(h * a_xy, AMBIENT_C);
+                            }
+                            if z > 0 {
+                                add(g_vert(z - 1, i), field[zoff - cells + i]);
+                            } else {
+                                let g =
+                                    bounds.h_bottom * a_xy + bounds.board_spread_w_per_k / n_bottom;
+                                add(g, AMBIENT_C);
+                            }
+
+                            let t_old = field[zoff + i];
+                            let t_new = flux / g_sum;
+                            let t_relaxed = t_old + config.omega * (t_new - t_old);
+                            max_delta = max_delta.max((t_relaxed - t_old).abs());
+                            field[zoff + i] = t_relaxed;
+                            x += 2;
+                        }
+                    }
+                }
+            }
+            if max_delta < config.tolerance_k {
+                break;
+            }
+        }
+        TemperatureField {
+            nx,
+            ny,
+            layers: field.chunks(cells).map(<[f64]>::to_vec).collect(),
+            iterations,
+        }
+    }
+
+    fn assert_bit_identical(tech: InterposerKind, config: &SolveConfig, bounds: &Boundaries) {
+        let model = ThermalModel::for_tech(tech).unwrap();
+        let want = reference_sweeps(&model, config, bounds);
+        let got = solve_capped(&model, config, bounds);
+        assert_eq!(got.iterations, want.iterations, "{tech:?}");
+        assert_eq!(got.layers.len(), want.layers.len(), "{tech:?}");
+        for (z, (a, b)) in got.layers.iter().zip(&want.layers).enumerate() {
+            assert_eq!(a.len(), b.len(), "{tech:?} layer {z}");
+            for (i, (ta, tb)) in a.iter().zip(b).enumerate() {
+                assert!(
+                    ta.to_bits() == tb.to_bits(),
+                    "{tech:?} layer {z} cell {i}: {ta} != {tb}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn worker_count_does_not_change_a_single_bit() {
-        // Red-black half-sweeps are embarrassingly parallel, so the field
-        // must be bit-identical (not just close) for any worker count.
-        let model = ThermalModel::for_tech(InterposerKind::Glass3D).unwrap();
-        let config = SolveConfig {
+    fn kernel_matches_the_per_cell_reference_bit_for_bit() {
+        let capped = SolveConfig {
             max_iters: 400,
             ..SolveConfig::default()
         };
-        let bounds = Boundaries::default();
-        let one = solve_capped_with_workers(&model, &config, &bounds, 1);
-        for workers in [2, 5] {
-            let many = solve_capped_with_workers(&model, &config, &bounds, workers);
-            assert_eq!(one.iterations, many.iterations);
-            for (a, b) in one.layers.iter().zip(&many.layers) {
-                for (ta, tb) in a.iter().zip(b) {
-                    assert!(
-                        ta.to_bits() == tb.to_bits(),
-                        "{ta} != {tb} ({workers} workers)"
-                    );
-                }
-            }
+        for tech in InterposerKind::PACKAGED {
+            assert_bit_identical(tech, &capped, &Boundaries::default());
+            assert_bit_identical(tech, &capped, &Boundaries::with_airspeed(5.0));
+        }
+        for tech in [InterposerKind::Glass3D, InterposerKind::Silicon3D] {
+            assert_bit_identical(tech, &SolveConfig::default(), &Boundaries::default());
         }
     }
 }
