@@ -117,7 +117,7 @@ echo "    router perf gate: smoke under ceiling, batching fires, published hash 
 # sweep --json stdout exactly (the service contract). Also checks the
 # /stats counters moved and that /shutdown drains to a clean exit 0.
 echo "==> codesign serve smoke (byte-identity, /stats, drain)"
-rm -f /tmp/codesign_serve_log.txt /tmp/codesign_serve_body.json
+rm -f /tmp/codesign_serve_log.txt /tmp/codesign_serve_body.json /tmp/codesign_serve_stats.json
 cargo run --release -q -p codesign --bin codesign -- serve 127.0.0.1:0 \
     > /tmp/codesign_serve_log.txt &
 SERVE_PID=$!
@@ -130,8 +130,13 @@ test -n "$SERVE_ADDR"
 curl -sS -X POST --data-binary @examples/smoke_scenarios.json \
     "http://$SERVE_ADDR/sweep" > /tmp/codesign_serve_body.json
 cmp /tmp/codesign_serve_body.json /tmp/codesign_smoke_sweep.json
+curl -sS "http://$SERVE_ADDR/stats" > /tmp/codesign_serve_stats.json
 jq -e '.requests >= 1 and .completed >= 1 and .context_misses >= 1' \
-    <(curl -sS "http://$SERVE_ADDR/stats") > /dev/null
+    /tmp/codesign_serve_stats.json > /dev/null
+# The latency histogram recorded the sweep: p50 is a positive bucket
+# bound and p99 is not below it.
+jq -e '.latency_p50_us > 0 and .latency_p99_us >= .latency_p50_us' \
+    /tmp/codesign_serve_stats.json > /dev/null
 curl -sS -X POST "http://$SERVE_ADDR/shutdown" > /dev/null
 wait "$SERVE_PID"
 echo "    serve smoke: response byte-identical to sweep --json, clean drain"

@@ -268,7 +268,85 @@ struct ServeStats {
     context_hits: AtomicU64,
     context_misses: AtomicU64,
     in_flight: AtomicU64,
-    latencies_us: Mutex<Vec<u64>>,
+    latencies_us: LatencyHistogram,
+}
+
+/// Linear sub-buckets per power of two in [`LatencyHistogram`].
+const LATENCY_SUB_BITS: u32 = 4;
+const LATENCY_SUB: usize = 1 << LATENCY_SUB_BITS;
+/// Buckets covering all of `u64`: values below [`LATENCY_SUB`] exactly,
+/// then [`LATENCY_SUB`] buckets for each higher power of two.
+const LATENCY_BUCKETS: usize = LATENCY_SUB * (65 - LATENCY_SUB_BITS as usize);
+
+/// Fixed-size log-bucket histogram of request latencies in µs: its
+/// memory does not grow with traffic, and recording is one atomic add.
+/// Every bucket spans less than 1/16 of its lower bound, so a reported
+/// percentile (a bucket's upper bound) overstates the nearest-rank
+/// sample by less than 6.25 % (finer than 2^(1/8) ≈ 9 %).
+#[derive(Debug)]
+struct LatencyHistogram {
+    counts: Box<[AtomicU64]>,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> LatencyHistogram {
+        LatencyHistogram {
+            counts: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    fn bucket(value: u64) -> usize {
+        if value < LATENCY_SUB as u64 {
+            return value as usize;
+        }
+        // `value >> shift` lies in [LATENCY_SUB, 2 * LATENCY_SUB).
+        let shift = (63 - value.leading_zeros()) - LATENCY_SUB_BITS;
+        (shift as usize + 1) * LATENCY_SUB + ((value >> shift) as usize - LATENCY_SUB)
+    }
+
+    /// The largest value that falls in bucket `index`.
+    fn upper_bound(index: usize) -> u64 {
+        if index < LATENCY_SUB {
+            return index as u64;
+        }
+        let shift = (index / LATENCY_SUB - 1) as u32;
+        let lower = ((LATENCY_SUB + index % LATENCY_SUB) as u64) << shift;
+        lower + ((1u64 << shift) - 1)
+    }
+
+    fn record(&self, value: u64) {
+        self.counts[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Nearest-rank percentiles, each reported as the upper bound of the
+    /// bucket holding that rank (0 with no samples). One snapshot of the
+    /// counts serves every requested percentile, so a higher percentile
+    /// never reads below a lower one while requests are recorded.
+    fn percentiles<const N: usize>(&self, percents: [f64; N]) -> [u64; N] {
+        let counts: Vec<u64> = self
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        percents.map(|percent| {
+            if total == 0 {
+                return 0;
+            }
+            let rank = ((percent / 100.0) * total as f64).ceil() as u64;
+            let rank = rank.clamp(1, total);
+            let mut seen = 0;
+            for (index, &count) in counts.iter().enumerate() {
+                seen += count;
+                if seen >= rank {
+                    return Self::upper_bound(index);
+                }
+            }
+            u64::MAX
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -475,9 +553,11 @@ impl Server {
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept so the loop can poll the shutdown flags:
-        // glibc installs signal handlers with SA_RESTART, so a blocking
-        // accept would never observe SIGTERM.
+        // Non-blocking accept: the loop waits on listener readiness for
+        // at most ACCEPT_WAIT at a time, so it also sees the shutdown
+        // flags. glibc installs signal handlers with SA_RESTART and the
+        // handler may run on any thread, so a blocking accept (or the
+        // wait itself) cannot rely on EINTR to observe SIGTERM.
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
@@ -501,9 +581,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal accept-loop I/O failures (`WouldBlock` is the poll idle
-    /// path, not an error). The drain still runs before the error
-    /// returns.
+    /// Fatal accept-loop I/O failures (`WouldBlock` only sends the loop
+    /// back to waiting for readiness, not an error). The drain still
+    /// runs before the error returns.
     pub fn run(self) -> std::io::Result<()> {
         install_sigterm_handler();
         let mut workers = Vec::new();
@@ -522,7 +602,7 @@ impl Server {
         }
         // Over-capacity 503s are written by this dedicated thread, so
         // the accept loop never performs per-socket I/O and a connect
-        // flood cannot slow accepts or the shutdown poll below.
+        // flood cannot slow accepts or the shutdown checks below.
         let rejector = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || reject_loop(&shared))
@@ -537,7 +617,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => accept_stream(&self.shared, stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    wait_acceptable(&self.listener, ACCEPT_WAIT);
                 }
                 Err(e) => {
                     self.shared.shutdown.store(true, Ordering::Relaxed);
@@ -572,6 +652,51 @@ impl Server {
         }
         result
     }
+}
+
+/// Longest single wait of the accept loop. A pending connection ends
+/// the wait at once; the bound exists only so the loop sees
+/// `/shutdown` and SIGTERM within this long.
+const ACCEPT_WAIT: Duration = Duration::from_millis(5);
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes, whichever comes first. The result is only a hint: the caller
+/// accepts non-blockingly and treats `WouldBlock` as "wait again".
+#[cfg(target_os = "linux")]
+fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
+    use std::os::raw::{c_int, c_short, c_ulong};
+    use std::os::unix::io::AsRawFd as _;
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        // std already links libc; declared here like `signal` above.
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+    let started = Instant::now();
+    let mut pollfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `pollfd` is one live, exclusively borrowed pollfd and nfds is 1.
+    let ready = unsafe { poll(&mut pollfd, 1, timeout_ms) };
+    if ready < 0 {
+        // EINTR or a broken poll: sleep out the rest of the bound so
+        // the accept loop never turns into a busy spin.
+        std::thread::sleep(timeout.saturating_sub(started.elapsed()));
+    }
+}
+
+/// Without `poll(2)`, the accept loop sleeps the whole bound.
+#[cfg(not(target_os = "linux"))]
+fn wait_acceptable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// Hands an accepted socket to the connection pool, or — when the pool
@@ -682,16 +807,20 @@ fn connection_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(stream) = stream else { return };
+        let Some(mut stream) = stream else { return };
         // Panic isolation: a panicking handler must neither kill this
         // pool thread nor skip the decrement below — either would
         // permanently shrink the effective pool until every accept is
-        // answered 503. The socket dies with the unwind, which is the
+        // answered 503. The socket is closed unanswered, which is the
         // right answer for the client of a broken request.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(shared, stream);
+            handle_connection(shared, &mut stream);
         }));
+        // Free the slot before the socket closes: a client that has
+        // read its whole response may connect again at once, and the
+        // accept loop takes that connection as soon as it arrives.
         shared.open_conns.fetch_sub(1, Ordering::Relaxed);
+        drop(stream);
         drop(outcome);
     }
 }
@@ -728,12 +857,7 @@ fn worker_loop(shared: &Shared) {
         let response =
             outcome.unwrap_or_else(|_| Response::json(500, error_body("request worker panicked")));
         let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        shared
-            .stats
-            .latencies_us
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(elapsed_us);
+        shared.stats.latencies_us.record(elapsed_us);
         shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         techlib::obs::add(techlib::obs::SERVE_COMPLETED, 1);
@@ -862,8 +986,8 @@ enum ReadError {
     Malformed(String),
 }
 
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let response = match read_request(&mut stream, &shared.config) {
+fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
+    let response = match read_request(stream, &shared.config) {
         Ok(request) => dispatch(shared, &request),
         Err(ReadError::Disconnected) => return,
         Err(ReadError::Slow { phase }) => {
@@ -889,7 +1013,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         }
     };
     let budget = Duration::from_millis(shared.config.write_ms.max(1));
-    if write_response_within(&mut stream, &response, budget) == WriteOutcome::TimedOut {
+    if write_response_within(stream, &response, budget) == WriteOutcome::TimedOut {
         shared.stats.write_timeouts.fetch_add(1, Ordering::Relaxed);
         techlib::obs::add(techlib::obs::SERVE_WRITE_TIMEOUTS, 1);
     }
@@ -1111,6 +1235,9 @@ fn admit_sweep(shared: &Shared, request: &Request) -> Response {
     }
 }
 
+/// Exact nearest-rank percentile: the reference the histogram's
+/// percentiles are tested against.
+#[cfg(test)]
 fn percentile_us(sorted: &[u64], percent: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -1121,14 +1248,8 @@ fn percentile_us(sorted: &[u64], percent: f64) -> u64 {
 
 fn stats_body(shared: &Shared) -> String {
     let queue_depth = shared.lock_queue().jobs.len();
-    let mut latencies = shared
-        .stats
-        .latencies_us
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    latencies.sort_unstable();
     let stats = &shared.stats;
+    let [latency_p50, latency_p99] = stats.latencies_us.percentiles([50.0, 99.0]);
     let hits = stats.context_hits.load(Ordering::Relaxed);
     let misses = stats.context_misses.load(Ordering::Relaxed);
     let hit_ratio = if hits + misses > 0 {
@@ -1178,8 +1299,8 @@ fn stats_body(shared: &Shared) -> String {
         store.misses,
         store.writes,
         store.invalid,
-        percentile_us(&latencies, 50.0),
-        percentile_us(&latencies, 99.0),
+        latency_p50,
+        latency_p99,
         u64::try_from(shared.started.elapsed().as_micros()).unwrap_or(u64::MAX),
     )
 }
@@ -1368,6 +1489,53 @@ mod tests {
         assert_eq!(percentile_us(&sorted, 99.0), 99);
         assert_eq!(percentile_us(&sorted, 100.0), 100);
         assert_eq!(percentile_us(&[7], 99.0), 7);
+    }
+
+    #[test]
+    fn histogram_buckets_tile_u64_within_a_sixteenth() {
+        let mut lower = 0u64;
+        for index in 0..LATENCY_BUCKETS {
+            let upper = LatencyHistogram::upper_bound(index);
+            assert_eq!(LatencyHistogram::bucket(lower), index, "lower of {index}");
+            assert_eq!(LatencyHistogram::bucket(upper), index, "upper of {index}");
+            let width = upper - lower + 1;
+            assert!(width == 1 || width * 16 <= lower, "width of {index}");
+            if index + 1 < LATENCY_BUCKETS {
+                lower = upper + 1;
+            } else {
+                assert_eq!(upper, u64::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_percentiles_stay_within_their_bucket_in_fixed_memory() {
+        let histogram = LatencyHistogram::default();
+        assert_eq!(histogram.percentiles([50.0, 99.0]), [0, 0]);
+        // A seeded xorshift stream of latencies spanning ~10 µs to ~1 s,
+        // log-uniform like a mix of warm hits and cold misses.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut samples = Vec::with_capacity(10_000);
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let value = (10u64 << (state % 17)) | ((state >> 40) % 1000);
+            histogram.record(value);
+            samples.push(value);
+        }
+        assert_eq!(histogram.counts.len(), LATENCY_BUCKETS);
+        samples.sort_unstable();
+        let [p50, p99] = histogram.percentiles([50.0, 99.0]);
+        for (got, percent) in [(p50, 50.0), (p99, 99.0)] {
+            let exact = percentile_us(&samples, percent);
+            assert_eq!(
+                LatencyHistogram::bucket(got),
+                LatencyHistogram::bucket(exact),
+                "p{percent}: histogram {got} vs nearest rank {exact}"
+            );
+            assert!(got >= exact && (got - exact) * 16 < exact, "p{percent}");
+        }
     }
 
     #[test]
