@@ -50,6 +50,28 @@ test "$(sor_sweeps glass3d)" -eq 1360
 test "$(sor_sweeps silicon3d)" -eq 828
 echo "    thermal gate: sweep counts match the reference stencil"
 
+# Links kernel gate: a Table V row runs three 6,000-step transients (one
+# baseline deck shared by both links, one deck per link), so a study
+# factors three times and solves 18,000 times. A change in how many decks
+# run, or in how the solves are counted, shows here.
+echo "==> links LU counter gate (silicon25d, glass3d: 3 factors, 18000 solves)"
+links_counter() {
+    cargo run --release -q -p codesign --bin codesign -- "$1" --stats 2>&1 > /dev/null \
+        | awk -v name="$2" '$1 == name { print $2 }'
+}
+for tech in silicon25d glass3d; do
+    test "$(links_counter "$tech" circuit.lu_factor)" -eq 3
+    test "$(links_counter "$tech" circuit.lu_solve)" -eq 18000
+done
+echo "    links gate: one shared baseline deck per row, solves counted per run"
+
+# S-parameter gate: the Touchstone files of every Table V channel are
+# committed, so regenerating them must leave them byte-identical.
+echo "==> S-parameter gate (sparams leaves artifacts/*.s2p unchanged)"
+cargo run --release -q -p bench --bin sparams > /dev/null
+git diff --exit-code -- 'artifacts/*.s2p'
+echo "    s-parameter gate: Touchstone bytes unchanged"
+
 # Warm-cache smoke: the same sweep through a disk-backed artifact store
 # must stay byte-identical to the uncached reference, both on the cold
 # run that populates the cache and on a second process that replays it.

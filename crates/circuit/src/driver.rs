@@ -44,7 +44,7 @@ pub fn prbs_data(vdd: f64, rate_bps: f64, seed: u8) -> Waveform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tran::{cross_time, simulate, TranConfig};
+    use crate::tran::{cross_time, simulate, Probe, TranConfig};
 
     #[test]
     fn tx_drives_a_load_through_rout() {
@@ -59,12 +59,13 @@ mod tests {
                 t_stop: 1e-9,
                 dt: 1e-12,
             },
+            &[Probe::Voltage(pad)],
         )
         .unwrap();
-        let v = r.voltage(pad);
+        let v = &r.waves[0];
         assert!((v.last().unwrap() - 0.9).abs() < 1e-3);
         // RC = 47.4 × 55 fF = 2.6 ps: essentially instant at this scale.
-        let t = cross_time(&r.times, &v, 0.45, true, 0.0).unwrap();
+        let t = cross_time(&r.times, v, 0.45, true, 0.0).unwrap();
         assert!(t < 60e-12, "t = {t}");
     }
 
@@ -81,9 +82,10 @@ mod tests {
                 t_stop: 0.1e-9,
                 dt: 1e-12,
             },
+            &[Probe::Current(src)],
         )
         .unwrap();
-        let i = r.branch_current(src).expect("vsource branch");
+        let i = &r.waves[0];
         // Divider: 0.9 V over 94.8 Ω ≈ 9.5 mA.
         assert!((i.last().unwrap().abs() - 0.0095).abs() < 0.0002);
     }

@@ -5,14 +5,16 @@
 //! chain the paper uses. It provides:
 //!
 //! * [`complex`] — complex arithmetic (no external linear-algebra crates).
-//! * [`matrix`] — dense LU factorisation/solve over `f64` and complex.
+//! * [`matrix`] — LU factorisation over `f64` and complex, solving with
+//!   only the factors' nonzero entries.
 //! * [`netlist`] — circuit description: R, L, C, sources with DC / pulse /
 //!   PWL / PRBS waveforms.
 //! * [`mna`] — modified nodal analysis stamping shared by the analyses.
 //! * [`dc`] — operating-point analysis.
 //! * [`ac`] — complex frequency sweeps (PDN impedance profiles).
 //! * [`tran`] — trapezoidal transient analysis with one-time factorisation
-//!   (linear circuits), plus waveform measurement helpers.
+//!   (linear circuits) that records only the probed waveforms, plus
+//!   waveform measurement helpers.
 //! * [`tline`] — lossy RLGC transmission-line ladders, including coupled
 //!   victim/aggressor triples for crosstalk studies.
 //! * [`twoport`] — ABCD-matrix two-ports and S-parameter conversion (the
@@ -24,7 +26,7 @@
 //!
 //! ```
 //! use circuit::netlist::{Circuit, Waveform};
-//! use circuit::tran::{TranConfig, simulate};
+//! use circuit::tran::{Probe, TranConfig, simulate};
 //!
 //! let mut c = Circuit::new();
 //! let inp = c.node("in");
@@ -32,8 +34,9 @@
 //! c.vsource(inp, Circuit::GND, Waveform::step(1.0, 1e-9, 10e-12));
 //! c.resistor(inp, out, 1_000.0);
 //! c.capacitor(out, Circuit::GND, 1e-12); // τ = 1 ns
-//! let result = simulate(&c, &TranConfig { t_stop: 10e-9, dt: 5e-12 })?;
-//! let v_end = result.voltage(out).last().copied().unwrap();
+//! let config = TranConfig { t_stop: 10e-9, dt: 5e-12 };
+//! let result = simulate(&c, &config, &[Probe::Voltage(out)])?;
+//! let v_end = result.waves[0].last().copied().unwrap();
 //! assert!((v_end - 1.0).abs() < 0.01);
 //! # Ok::<(), circuit::CircuitError>(())
 //! ```

@@ -1,8 +1,23 @@
-//! Dense LU factorisation with partial pivoting, generic over the scalar.
+//! LU factorisation with partial pivoting, generic over the scalar.
 //!
 //! MNA systems in this workspace are small (tens to a few hundred
-//! unknowns), so a dense solver is simpler and faster than a sparse one.
-//! The factorisation is reusable: transient analysis factors once and
+//! unknowns), so they are assembled and factored densely. The factors
+//! are sparse, though. On the longest RDL link decks, L keeps 621 of its
+//! 4,465 strict-lower entries and U 684 of 4,560 with the diagonal
+//! (Glass 2.5D at 5,980 µm, n = 95); APX at 8,000 µm (n = 125) keeps
+//! 1,026 of 7,750 and 1,109 of 7,875, so 13–15 % overall.
+//! [`Matrix::lu`] therefore compresses L and U into per-row lists of
+//! their nonzero entries, and [`Lu::solve_into`] walks only those.
+//!
+//! The result is the dense substitution's, bit for bit. The lists keep
+//! the dense loops' ascending column order, so the terms that remain
+//! are subtracted in the same order. A skipped term was `acc - 0·x`,
+//! which returns `acc` unchanged whenever `acc` is nonzero (and `x` is
+//! finite). The only possible difference is the sign of an exact zero:
+//! `-0 - (-0)` is `+0` where the skipped term leaves `-0`. On the
+//! production decks not even that happens. Pivoting, elimination order
+//! and unknown ordering are those of the dense factorisation. The
+//! factorisation is reusable: transient analysis factors once and
 //! re-solves per step.
 
 use crate::complex::Complex64;
@@ -12,6 +27,7 @@ use crate::CircuitError;
 pub trait Scalar:
     Copy
     + Default
+    + PartialEq
     + std::ops::Add<Output = Self>
     + std::ops::Sub<Output = Self>
     + std::ops::Mul<Output = Self>
@@ -135,39 +151,86 @@ impl<T: Scalar> Matrix<T> {
                 }
             }
         }
-        Ok(Lu { m: self, perm })
+        let mut lower = SparseRows::new(n);
+        let mut upper = SparseRows::new(n);
+        let mut diag = Vec::with_capacity(n);
+        for r in 0..n {
+            lower.push_row((0..r).map(|c| (c, self.get(r, c))));
+            upper.push_row(((r + 1)..n).map(|c| (c, self.get(r, c))));
+            diag.push(self.get(r, r));
+        }
+        Ok(Lu {
+            perm,
+            lower,
+            upper,
+            diag,
+        })
     }
 }
 
-/// A reusable LU factorisation.
+/// Row-compressed strict triangle of a factor: row `r`'s entries that
+/// are not exactly zero, as `(column, value)` in ascending column order.
+#[derive(Debug, Clone)]
+struct SparseRows<T> {
+    /// Row `r` is `entries[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+    entries: Vec<(usize, T)>,
+}
+
+impl<T: Scalar> SparseRows<T> {
+    fn new(n: usize) -> SparseRows<T> {
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        SparseRows {
+            start,
+            entries: Vec::new(),
+        }
+    }
+
+    fn push_row(&mut self, row: impl Iterator<Item = (usize, T)>) {
+        self.entries.extend(row.filter(|&(_, v)| v != T::zero()));
+        self.start.push(self.entries.len());
+    }
+
+    fn row(&self, r: usize) -> &[(usize, T)] {
+        &self.entries[self.start[r]..self.start[r + 1]]
+    }
+}
+
+/// A reusable LU factorisation: the row permutation, the nonzero
+/// entries of the unit-lower factor L and of the strict upper factor U,
+/// and U's diagonal.
 #[derive(Debug, Clone)]
 pub struct Lu<T> {
-    m: Matrix<T>,
     perm: Vec<usize>,
+    lower: SparseRows<T>,
+    upper: SparseRows<T>,
+    diag: Vec<T>,
 }
 
 impl<T: Scalar> Lu<T> {
-    /// Solves `A x = b`.
+    /// Solves `A x = b`. Counts one `circuit.lu_solve`.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` does not match the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = vec![T::zero(); self.m.n];
+        techlib::obs::add(techlib::obs::CIRCUIT_LU_SOLVE, 1);
+        let mut x = vec![T::zero(); self.diag.len()];
         self.solve_into(b, &mut x);
         x
     }
 
     /// Solves `A x = b` into a caller-provided buffer — the allocation-
-    /// free form the transient stepper uses once per time step.
+    /// free form the transient stepper uses once per time step. Not
+    /// counted: a caller that solves many times counts its solves once.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` or `x.len()` does not match the matrix
     /// dimension.
     pub fn solve_into(&self, b: &[T], x: &mut [T]) {
-        techlib::obs::add(techlib::obs::CIRCUIT_LU_SOLVE, 1);
-        let n = self.m.n;
+        let n = self.diag.len();
         assert_eq!(b.len(), n, "rhs length mismatch");
         assert_eq!(x.len(), n, "solution length mismatch");
         // Apply permutation.
@@ -177,18 +240,18 @@ impl<T: Scalar> Lu<T> {
         // Forward substitution (L has unit diagonal).
         for r in 1..n {
             let mut acc = x[r];
-            for (c, &xc) in x.iter().enumerate().take(r) {
-                acc = acc - self.m.get(r, c) * xc;
+            for &(c, v) in self.lower.row(r) {
+                acc = acc - v * x[c];
             }
             x[r] = acc;
         }
         // Back substitution.
         for r in (0..n).rev() {
             let mut acc = x[r];
-            for (c, &xc) in x.iter().enumerate().skip(r + 1) {
-                acc = acc - self.m.get(r, c) * xc;
+            for &(c, v) in self.upper.row(r) {
+                acc = acc - v * x[c];
             }
-            x[r] = acc / self.m.get(r, r);
+            x[r] = acc / self.diag[r];
         }
     }
 }
@@ -262,6 +325,36 @@ mod tests {
         let x2 = lu.solve(&[8.0, 6.0]);
         assert_eq!(x1, vec![1.0, 1.0]);
         assert_eq!(x2, vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn factors_keep_only_nonzero_entries_in_column_order() {
+        // A tridiagonal system factors without fill: L and U keep one
+        // off-diagonal entry per row, and a decoupled row keeps none.
+        let n = 5;
+        let mut a = Matrix::<f64>::zeros(n);
+        for r in 0..n - 1 {
+            a.set(r, r, 4.0);
+            if r + 1 < n - 1 {
+                a.set(r, r + 1, -1.0);
+                a.set(r + 1, r, -1.0);
+            }
+        }
+        a.set(n - 1, n - 1, 2.0);
+        let lu = a.lu().unwrap();
+        for r in 0..n - 1 {
+            let expect_lower: Vec<usize> = (r.saturating_sub(1)..r).collect();
+            let expect_upper: Vec<usize> = ((r + 1)..(r + 2).min(n - 1)).collect();
+            let lower: Vec<usize> = lu.lower.row(r).iter().map(|e| e.0).collect();
+            let upper: Vec<usize> = lu.upper.row(r).iter().map(|e| e.0).collect();
+            assert_eq!(lower, expect_lower, "row {r}");
+            assert_eq!(upper, expect_upper, "row {r}");
+        }
+        assert!(lu.lower.row(n - 1).is_empty() && lu.upper.row(n - 1).is_empty());
+        let x = lu.solve(&[3.0, 2.0, 2.0, 3.0, 4.0]);
+        for (xi, want) in x.iter().zip([1.0, 1.0, 1.0, 1.0, 2.0]) {
+            assert!((xi - want).abs() < 1e-12, "{x:?}");
+        }
     }
 
     #[test]

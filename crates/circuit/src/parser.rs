@@ -222,7 +222,7 @@ fn arg_list(spec: &str) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tran::{simulate, TranConfig};
+    use crate::tran::{simulate, Probe, TranConfig};
 
     #[test]
     fn parses_and_simulates_a_divider() {
@@ -262,10 +262,10 @@ mod tests {
                 t_stop: 10e-9,
                 dt: 5e-12,
             },
+            &[Probe::Voltage(deck.node("out").unwrap())],
         )
         .unwrap();
-        let out = deck.node("out").unwrap();
-        let v = r.voltage(out);
+        let v = &r.waves[0];
         assert!((v.last().unwrap() - 0.9).abs() < 0.01);
     }
 

@@ -179,7 +179,7 @@ impl CoupledTriple {
 mod tests {
     use super::*;
     use crate::netlist::Waveform;
-    use crate::tran::{delay_50, simulate, TranConfig};
+    use crate::tran::{delay_50, simulate, Probe, TranConfig};
 
     fn test_line() -> RlgcLine {
         // Glass-like: 2 mm of 2µm × 4µm copper, ~140 fF/mm.
@@ -222,9 +222,10 @@ mod tests {
                 t_stop: 2e-9,
                 dt: 0.5e-12,
             },
+            &[Probe::Voltage(src), Probe::Voltage(out)],
         )
         .unwrap();
-        let d = delay_50(&r.times, &r.voltage(src), &r.voltage(out), 0.9).unwrap();
+        let d = delay_50(&r.times, &r.waves[0], &r.waves[1], 0.9).unwrap();
         let elmore = line.elmore_delay(r_src, c_load);
         // Simulated delay within 40 % of the Elmore estimate.
         assert!(
@@ -255,9 +256,10 @@ mod tests {
                     t_stop: 4e-9,
                     dt: 1e-12,
                 },
+                &[Probe::Voltage(src), Probe::Voltage(out)],
             )
             .unwrap();
-            delays.push(delay_50(&r.times, &r.voltage(src), &r.voltage(out), 0.9).unwrap());
+            delays.push(delay_50(&r.times, &r.waves[0], &r.waves[1], 0.9).unwrap());
         }
         assert!(delays[0] < delays[1] && delays[1] < delays[2], "{delays:?}");
     }
@@ -285,9 +287,10 @@ mod tests {
                 t_stop: 1e-9,
                 dt: 0.5e-12,
             },
+            &[Probe::Voltage(nodes.victim.1)],
         )
         .unwrap();
-        let v = r.voltage(nodes.victim.1);
+        let v = &r.waves[0];
         let peak = v.iter().cloned().fold(0.0f64, |m, x| m.max(x.abs()));
         assert!(peak > 0.01, "expected visible crosstalk, peak = {peak}");
         assert!(peak < 0.45, "crosstalk must stay below half swing, {peak}");

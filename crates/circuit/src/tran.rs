@@ -3,11 +3,13 @@
 //! The circuits this workspace simulates are linear (behavioural drivers
 //! are Thevenin sources), so the MNA matrix with trapezoidal companion
 //! models is constant over time: it is factored once and re-solved per
-//! step — the property that makes 100k-step eye-diagram runs cheap.
+//! step — the property that makes 100k-step eye-diagram runs cheap. Each
+//! solve walks only the factors' nonzero entries (see [`crate::matrix`]),
+//! and a run records only the waveforms its caller probes.
 
 use crate::matrix::{Lu, Matrix};
 use crate::mna::MnaLayout;
-use crate::netlist::{Circuit, Element, NodeId};
+use crate::netlist::{Circuit, Element, NodeId, Waveform};
 use crate::CircuitError;
 
 /// Transient run configuration.
@@ -19,43 +21,45 @@ pub struct TranConfig {
     pub dt: f64,
 }
 
-/// Transient results: time points and waveforms.
+/// A waveform for [`simulate`] to record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// Voltage of a node (ground records a zero waveform).
+    Voltage(NodeId),
+    /// Branch current of the element at this index, which must be an
+    /// inductor or a voltage source.
+    Current(usize),
+}
+
+/// Transient results: time points and the probed waveforms.
 #[derive(Debug, Clone)]
 pub struct TranResult {
-    layout: MnaLayout,
     /// Time points, s.
     pub times: Vec<f64>,
-    /// Per-unknown waveforms, indexed `[unknown][step]`.
-    waves: Vec<Vec<f64>>,
+    /// One waveform per probe, in the order the probes were given; each
+    /// has one sample per time point.
+    pub waves: Vec<Vec<f64>>,
 }
 
-impl TranResult {
-    /// Voltage waveform of a node (ground returns a zero waveform).
-    pub fn voltage(&self, n: NodeId) -> Vec<f64> {
-        match self.layout.node_index(n) {
-            Some(i) => self.waves[i].clone(),
-            None => vec![0.0; self.times.len()],
-        }
-    }
-
-    /// Branch-current waveform of element `element_index` (inductor or
-    /// voltage source), if it has a branch variable.
-    pub fn branch_current(&self, element_index: usize) -> Option<Vec<f64>> {
-        self.layout.branch_of_element[element_index]
-            .map(|b| self.waves[self.layout.branch_index(b)].clone())
-    }
-}
-
-/// Runs the transient analysis.
+/// Runs the transient analysis, recording the waveforms of `probes`.
+///
+/// Counts one `circuit.lu_factor` and, once per run, one
+/// `circuit.lu_solve` per time step.
 ///
 /// # Errors
 ///
-/// Rejects non-positive `dt`/`t_stop`; propagates singular-matrix errors.
-pub fn simulate(circuit: &Circuit, config: &TranConfig) -> Result<TranResult, CircuitError> {
+/// Rejects non-positive or non-finite `dt`/`t_stop`, a step count that
+/// does not fit a `usize`, and probes of nodes or branches the circuit
+/// does not have; propagates singular-matrix errors.
+pub fn simulate(
+    circuit: &Circuit,
+    config: &TranConfig,
+    probes: &[Probe],
+) -> Result<TranResult, CircuitError> {
     if config.dt <= 0.0 || !config.dt.is_finite() {
         return Err(CircuitError::InvalidParameter { parameter: "dt" });
     }
-    if config.t_stop.is_nan() || config.t_stop <= config.dt {
+    if !config.t_stop.is_finite() || config.t_stop <= config.dt {
         return Err(CircuitError::InvalidParameter {
             parameter: "t_stop",
         });
@@ -63,155 +67,211 @@ pub fn simulate(circuit: &Circuit, config: &TranConfig) -> Result<TranResult, Ci
     let layout = MnaLayout::new(circuit);
     let n = layout.dim();
     let dt = config.dt;
-    let steps = (config.t_stop / dt).ceil() as usize;
+    let (steps, samples) =
+        step_count(config.t_stop / dt).ok_or(CircuitError::InvalidParameter {
+            parameter: "t_stop",
+        })?;
+    // The MNA row each probe reads (`None` for ground).
+    let probe_rows = probes
+        .iter()
+        .map(|probe| match *probe {
+            Probe::Voltage(node) if node.0 < circuit.node_count() => Ok(layout.node_index(node)),
+            Probe::Voltage(_) => Err(CircuitError::InvalidParameter { parameter: "probe" }),
+            Probe::Current(ei) => Ok(Some(layout.branch_index(layout.branch_of(ei)?))),
+        })
+        .collect::<Result<Vec<Option<usize>>, CircuitError>>()?;
 
-    // Build the constant system matrix.
+    // Build the constant system matrix, and resolve each reactive
+    // element and source to the MNA rows its per-step work touches.
     let mut m = Matrix::<f64>::zeros(n);
+    let mut companions = Vec::new();
+    let node_row = |node: &NodeId| layout.node_index(*node);
     for (ei, e) in circuit.elements().iter().enumerate() {
         match e {
             Element::Resistor { a, b, ohms } => {
                 crate::dc::stamp_conductance(&mut m, &layout, *a, *b, 1.0 / ohms);
             }
             Element::Capacitor { a, b, farads } => {
-                crate::dc::stamp_conductance(&mut m, &layout, *a, *b, 2.0 * farads / dt);
+                let g = 2.0 * farads / dt;
+                crate::dc::stamp_conductance(&mut m, &layout, *a, *b, g);
+                companions.push(Companion::Capacitor {
+                    a: node_row(a),
+                    b: node_row(b),
+                    g,
+                    v_prev: 0.0,
+                    i_prev: 0.0,
+                });
             }
             Element::Inductor { a, b, henries } => {
                 let br = layout.branch_of(ei)?;
-                crate::dc::stamp_branch(&mut m, &layout, *a, *b, br, 2.0 * henries / dt);
+                let r_eq = 2.0 * henries / dt;
+                crate::dc::stamp_branch(&mut m, &layout, *a, *b, br, r_eq);
+                companions.push(Companion::Inductor {
+                    a: node_row(a),
+                    b: node_row(b),
+                    row: layout.branch_index(br),
+                    r_eq,
+                    v_prev: 0.0,
+                    i_prev: 0.0,
+                });
             }
-            Element::VSource { a, b, .. } => {
+            Element::VSource { a, b, wave } => {
                 let br = layout.branch_of(ei)?;
                 crate::dc::stamp_branch(&mut m, &layout, *a, *b, br, 0.0);
+                companions.push(Companion::VSource {
+                    row: layout.branch_index(br),
+                    wave,
+                });
             }
-            Element::ISource { .. } => {}
+            Element::ISource { a, b, wave } => {
+                companions.push(Companion::ISource {
+                    a: node_row(a),
+                    b: node_row(b),
+                    wave,
+                });
+            }
         }
     }
     let lu: Lu<f64> = m.lu()?;
 
-    // Element state for companion models.
-    #[derive(Clone, Copy)]
-    struct CapState {
-        v_prev: f64,
-        i_prev: f64,
-    }
-    #[derive(Clone, Copy)]
-    struct IndState {
-        v_prev: f64,
-        i_prev: f64,
-    }
-    let mut cap_state: Vec<CapState> = Vec::new();
-    let mut ind_state: Vec<IndState> = Vec::new();
-    for e in circuit.elements() {
-        match e {
-            Element::Capacitor { .. } => cap_state.push(CapState {
-                v_prev: 0.0,
-                i_prev: 0.0,
-            }),
-            Element::Inductor { .. } => ind_state.push(IndState {
-                v_prev: 0.0,
-                i_prev: 0.0,
-            }),
-            _ => {}
-        }
-    }
-
-    let mut waves: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); n];
-    let mut times = Vec::with_capacity(steps + 1);
+    let mut waves: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); probes.len()];
+    let mut times = Vec::with_capacity(samples);
     let mut x = vec![0.0; n];
+    let record = |waves: &mut [Vec<f64>], x: &[f64]| {
+        for (w, row) in waves.iter_mut().zip(&probe_rows) {
+            w.push(row.map_or(0.0, |i| x[i]));
+        }
+    };
     // Record t = 0 state (all zeros: caps discharged, inductors relaxed).
     times.push(0.0);
-    for (w, &xi) in waves.iter_mut().zip(&x) {
-        w.push(xi);
-    }
-
-    let node_v = |x: &[f64], node: NodeId, layout: &MnaLayout| -> f64 {
-        layout.node_index(node).map_or(0.0, |i| x[i])
-    };
+    record(&mut waves, &x);
 
     // One rhs buffer for the whole run; `solve_into` likewise reuses `x`.
+    // The rhs is assembled in element order, so every row sums its
+    // contributions in the same order on every step.
     let mut rhs = vec![0.0; n];
     for step in 1..=steps {
         let t = step as f64 * dt;
         rhs.fill(0.0);
-        let mut ci = 0usize;
-        let mut li = 0usize;
-        for (ei, e) in circuit.elements().iter().enumerate() {
-            match e {
-                Element::Capacitor { a, b, farads } => {
-                    let st = cap_state[ci];
-                    ci += 1;
-                    let g = 2.0 * farads / dt;
+        for companion in &companions {
+            match *companion {
+                Companion::Capacitor {
+                    a,
+                    b,
+                    g,
+                    v_prev,
+                    i_prev,
+                } => {
                     // Companion current source into node a.
-                    let ieq = g * st.v_prev + st.i_prev;
-                    if let Some(i) = layout.node_index(*a) {
+                    let ieq = g * v_prev + i_prev;
+                    if let Some(i) = a {
                         rhs[i] += ieq;
                     }
-                    if let Some(j) = layout.node_index(*b) {
+                    if let Some(j) = b {
                         rhs[j] -= ieq;
                     }
                 }
-                Element::Inductor { henries, .. } => {
-                    let st = ind_state[li];
-                    li += 1;
-                    let br = layout.branch_of(ei)?;
-                    let r_eq = 2.0 * henries / dt;
-                    rhs[layout.branch_index(br)] = -(r_eq * st.i_prev + st.v_prev);
-                }
-                Element::VSource { wave, .. } => {
-                    let br = layout.branch_of(ei)?;
-                    rhs[layout.branch_index(br)] = wave.at(t);
-                }
-                Element::ISource { a, b, wave } => {
+                Companion::Inductor {
+                    row,
+                    r_eq,
+                    v_prev,
+                    i_prev,
+                    ..
+                } => rhs[row] = -(r_eq * i_prev + v_prev),
+                Companion::VSource { row, wave } => rhs[row] = wave.at(t),
+                Companion::ISource { a, b, wave } => {
                     let i = wave.at(t);
-                    if let Some(ia) = layout.node_index(*a) {
+                    if let Some(ia) = a {
                         rhs[ia] -= i;
                     }
-                    if let Some(ib) = layout.node_index(*b) {
+                    if let Some(ib) = b {
                         rhs[ib] += i;
                     }
                 }
-                Element::Resistor { .. } => {}
             }
         }
         lu.solve_into(&rhs, &mut x);
 
         // Update companion states.
-        let mut ci = 0usize;
-        let mut li = 0usize;
-        for (ei, e) in circuit.elements().iter().enumerate() {
-            match e {
-                Element::Capacitor { a, b, farads } => {
-                    let g = 2.0 * farads / dt;
-                    let v = node_v(&x, *a, &layout) - node_v(&x, *b, &layout);
-                    let st = &mut cap_state[ci];
-                    ci += 1;
-                    let i_new = g * (v - st.v_prev) - st.i_prev;
-                    st.v_prev = v;
-                    st.i_prev = i_new;
+        let v_across =
+            |a: Option<usize>, b: Option<usize>| a.map_or(0.0, |i| x[i]) - b.map_or(0.0, |j| x[j]);
+        for companion in &mut companions {
+            match companion {
+                Companion::Capacitor {
+                    a,
+                    b,
+                    g,
+                    v_prev,
+                    i_prev,
+                } => {
+                    let v = v_across(*a, *b);
+                    let i_new = *g * (v - *v_prev) - *i_prev;
+                    *v_prev = v;
+                    *i_prev = i_new;
                 }
-                Element::Inductor { a, b, .. } => {
-                    let br = layout.branch_of(ei)?;
-                    let v = node_v(&x, *a, &layout) - node_v(&x, *b, &layout);
-                    let st = &mut ind_state[li];
-                    li += 1;
-                    st.v_prev = v;
-                    st.i_prev = x[layout.branch_index(br)];
+                Companion::Inductor {
+                    a,
+                    b,
+                    row,
+                    v_prev,
+                    i_prev,
+                    ..
+                } => {
+                    *v_prev = v_across(*a, *b);
+                    *i_prev = x[*row];
                 }
-                _ => {}
+                Companion::VSource { .. } | Companion::ISource { .. } => {}
             }
         }
 
         times.push(t);
-        for (w, &xi) in waves.iter_mut().zip(&x) {
-            w.push(xi);
-        }
+        record(&mut waves, &x);
     }
+    techlib::obs::add(techlib::obs::CIRCUIT_LU_SOLVE, steps as u64);
 
-    Ok(TranResult {
-        layout,
-        times,
-        waves,
-    })
+    Ok(TranResult { times, waves })
+}
+
+/// An element's per-step work in the trapezoidal stepper, with its MNA
+/// rows resolved once per run (`None` is ground).
+enum Companion<'c> {
+    /// Companion conductance `g = 2C/dt` between `a` and `b`, with the
+    /// previous step's voltage and current.
+    Capacitor {
+        a: Option<usize>,
+        b: Option<usize>,
+        g: f64,
+        v_prev: f64,
+        i_prev: f64,
+    },
+    /// Companion resistance `r_eq = 2L/dt` on branch row `row`, with the
+    /// previous step's voltage and current.
+    Inductor {
+        a: Option<usize>,
+        b: Option<usize>,
+        row: usize,
+        r_eq: f64,
+        v_prev: f64,
+        i_prev: f64,
+    },
+    /// Source voltage on branch row `row`.
+    VSource { row: usize, wave: &'c Waveform },
+    /// Source current from `a` to `b`.
+    ISource {
+        a: Option<usize>,
+        b: Option<usize>,
+        wave: &'c Waveform,
+    },
+}
+
+/// The step count `ceil(ratio)` of a run and its sample count (one more,
+/// for t = 0), or `None` when either does not fit a `usize`.
+fn step_count(ratio: f64) -> Option<(usize, usize)> {
+    let steps = ratio.ceil();
+    // `as` saturates, and `usize::MAX as f64` is the first value it
+    // clamps, so only counts below it convert exactly (NaN fails too).
+    let steps = (steps < usize::MAX as f64).then_some(steps as usize)?;
+    Some((steps, steps.checked_add(1)?))
 }
 
 /// First time `wave` crosses `level` in the given direction at or after
@@ -299,12 +359,13 @@ mod tests {
             t_stop: 4e-9,
             dt: 2e-12,
         };
-        let joint = simulate(&c, &cfg).unwrap();
-        let vj = joint.voltage(mid);
+        let probes = [Probe::Voltage(mid)];
+        let joint = simulate(&c, &cfg, &probes).unwrap();
+        let vj = &joint.waves[0];
         let mut sum = vec![0.0; vj.len()];
         for s in c.source_indices() {
-            let part = simulate(&c.single_source(s), &cfg).unwrap();
-            for (acc, v) in sum.iter_mut().zip(part.voltage(mid)) {
+            let part = simulate(&c.single_source(s), &cfg, &probes).unwrap();
+            for (acc, v) in sum.iter_mut().zip(&part.waves[0]) {
                 *acc += v;
             }
         }
@@ -327,9 +388,10 @@ mod tests {
                 t_stop: 5e-9,
                 dt: 2e-12,
             },
+            &[Probe::Voltage(out)],
         )
         .unwrap();
-        let v = r.voltage(out);
+        let v = &r.waves[0];
         // At t = τ the response is 1 - 1/e ≈ 0.632.
         let idx = r.times.iter().position(|&t| t >= 1e-9).unwrap();
         assert!((v[idx] - 0.632).abs() < 0.01, "v(τ) = {}", v[idx]);
@@ -353,14 +415,15 @@ mod tests {
                 t_stop: 6e-9,
                 dt: 1e-12,
             },
+            &[Probe::Voltage(b)],
         )
         .unwrap();
-        let v = r.voltage(b);
+        let v = &r.waves[0];
         // Under-damped: output overshoots toward 2.0.
         let peak = v.iter().cloned().fold(0.0, f64::max);
         assert!(peak > 1.8, "peak = {peak}");
         // First peak at half a period ≈ 0.99 ns.
-        let idx = peak_index(&v).unwrap();
+        let idx = peak_index(v).unwrap();
         let t_peak = r.times[idx];
         assert!((t_peak - 0.99e-9).abs() < 0.15e-9, "t_peak = {t_peak}");
     }
@@ -397,9 +460,10 @@ mod tests {
                 t_stop: 8e-9,
                 dt: 1e-12,
             },
+            &[Probe::Voltage(inp), Probe::Voltage(out)],
         )
         .unwrap();
-        let d = delay_50(&r.times, &r.voltage(inp), &r.voltage(out), 1.0).unwrap();
+        let d = delay_50(&r.times, &r.waves[0], &r.waves[1], 1.0).unwrap();
         // RC step 50 % delay = τ ln 2 = 0.693 ns.
         assert!((d - 0.693e-9).abs() < 0.02e-9, "d = {d}");
     }
@@ -416,12 +480,11 @@ mod tests {
                 t_stop: 1e-9,
                 dt: 1e-12,
             },
+            &[Probe::Current(0), Probe::Voltage(a)],
         )
         .unwrap();
-        let i = r.branch_current(0).unwrap();
-        let v = r.voltage(a);
         // Source delivers 40 mW (branch current flows a→b inside source).
-        let p = average_power(&r.times, &v, &i).abs();
+        let p = average_power(&r.times, &r.waves[1], &r.waves[0]).abs();
         assert!((p - 0.04).abs() < 0.002, "p = {p}");
     }
 
@@ -452,10 +515,11 @@ mod tests {
                 t_stop: 12.0 * period,
                 dt: period / 400.0,
             },
+            &[Probe::Voltage(out)],
         )
         .unwrap();
         // Amplitude over the last two periods.
-        let v = r.voltage(out);
+        let v = &r.waves[0];
         let tail = &v[v.len() - 800..];
         let amp = tail.iter().cloned().fold(0.0f64, f64::max);
         let ac = crate::ac::solve_at(&c, f3).unwrap().voltage(out).abs();
@@ -465,23 +529,40 @@ mod tests {
 
     #[test]
     fn invalid_config_rejected() {
-        let c = Circuit::new();
-        assert!(simulate(
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.resistor(a, Circuit::GND, 1.0);
+        let run = |t_stop: f64, dt: f64, probes: &[Probe]| {
+            simulate(&c, &TranConfig { t_stop, dt }, probes).err()
+        };
+        let bad = |parameter| Some(CircuitError::InvalidParameter { parameter });
+        assert_eq!(run(1e-9, 0.0, &[]), bad("dt"));
+        assert_eq!(run(0.0, 1e-12, &[]), bad("t_stop"));
+        assert_eq!(run(f64::NAN, 1e-12, &[]), bad("t_stop"));
+        // An infinite stop time used to saturate the step count to
+        // `usize::MAX` and overflow the sample count.
+        assert_eq!(run(f64::INFINITY, 1e-12, &[]), bad("t_stop"));
+        // Finite, but more steps than a `usize` holds.
+        assert_eq!(run(1e21, 1.0, &[]), bad("t_stop"));
+        // Probes of a node or a branch the circuit does not have.
+        assert_eq!(run(1e-9, 1e-12, &[Probe::Voltage(NodeId(2))]), bad("probe"));
+        assert!(matches!(
+            run(1e-9, 1e-12, &[Probe::Current(0)]),
+            Some(CircuitError::InvalidElement { .. })
+        ));
+        // Ground is a valid probe: a zero waveform.
+        let r = simulate(
             &c,
             &TranConfig {
-                t_stop: 1e-9,
-                dt: 0.0
-            }
+                t_stop: 1e-11,
+                dt: 1e-12,
+            },
+            &[Probe::Voltage(Circuit::GND), Probe::Voltage(a)],
         )
-        .is_err());
-        assert!(simulate(
-            &c,
-            &TranConfig {
-                t_stop: 0.0,
-                dt: 1e-12
-            }
-        )
-        .is_err());
+        .unwrap();
+        assert_eq!(r.times.len(), 11);
+        assert_eq!(r.waves[0], [0.0; 11]);
+        assert_eq!(r.waves[1].len(), 11);
     }
 
     #[test]

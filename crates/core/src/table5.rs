@@ -13,7 +13,7 @@ use crate::context::{default_context, StudyContext};
 use crate::FlowError;
 use interposer::diemap::NetClass;
 use serde::{Deserialize, Serialize};
-use si::link::{simulate_link_with, ChannelKind, LinkReport};
+use si::link::{simulate_link_from, ChannelKind, LinkBaseline, LinkReport};
 use techlib::spec::{InterposerKind, Stacking};
 use techlib::store::{hash_spec_field, KeyHasher, SpecField, StoreKey};
 
@@ -202,8 +202,19 @@ pub(crate) fn simulate_row(
     l2m: &ChannelKind,
     l2l: &ChannelKind,
 ) -> Result<Table5Row, FlowError> {
-    let l2m = simulate_link_with(l2m, ctx.spec(l2m.tech()))?;
-    let l2l = simulate_link_with(l2l, ctx.spec(l2l.tech()))?;
+    // Both links are measured against the zero-length baseline deck of
+    // their technology's spec; when they share the technology (every
+    // row `channels_for_in` builds), that deck runs once.
+    let shared_baseline = l2m.tech() == l2l.tech();
+    let (m_spec, l_spec) = (ctx.spec(l2m.tech()), ctx.spec(l2l.tech()));
+    let m_base = LinkBaseline::simulate(m_spec)?;
+    let l2m = simulate_link_from(l2m, m_spec, &m_base)?;
+    let l_base = if shared_baseline {
+        m_base
+    } else {
+        LinkBaseline::simulate(l_spec)?
+    };
+    let l2l = simulate_link_from(l2l, l_spec, &l_base)?;
     Ok(Table5Row { tech, l2m, l2l })
 }
 

@@ -6,7 +6,7 @@
 //! cycle-average to settle into a band around its final value.
 
 use crate::pdn_model::{Excitation, PdnCircuit};
-use circuit::tran::{simulate, TranConfig};
+use circuit::tran::{simulate, Probe, TranConfig};
 use circuit::CircuitError;
 use serde::Serialize;
 use techlib::calib;
@@ -54,8 +54,9 @@ pub fn analyze(tech: InterposerKind) -> Result<TransientReport, CircuitError> {
             t_stop: 20e-6,
             dt: 1e-9,
         },
+        &[Probe::Voltage(tr_model.die_node)],
     )?;
-    let v = result.voltage(tr_model.die_node);
+    let v = &result.waves[0];
     let times = &result.times;
 
     let worst_droop_mv = v

@@ -10,7 +10,7 @@
 use crate::rlgc;
 use circuit::driver::{add_rx, add_tx, prbs_data};
 use circuit::netlist::{prbs7_bit, Circuit, NodeId};
-use circuit::tran::{simulate, TranConfig};
+use circuit::tran::{simulate, Probe, TranConfig, TranResult};
 use circuit::CircuitError;
 use serde::Serialize;
 use techlib::bump::BumpModel;
@@ -78,6 +78,16 @@ pub fn lateral_eye(
     length_um: f64,
     config: &EyeConfig,
 ) -> Result<EyeReport, CircuitError> {
+    let (c, probe) = lateral_eye_deck(tech, length_um, config);
+    measure_eye(&c, probe, config.bits, 11, config.data_rate_bps)
+}
+
+/// The deck [`lateral_eye`] simulates and its receiver probe node.
+pub fn lateral_eye_deck(
+    tech: InterposerKind,
+    length_um: f64,
+    config: &EyeConfig,
+) -> (Circuit, NodeId) {
     let spec = InterposerSpec::for_kind(tech);
     let triple = rlgc::extract_coupled(&spec, length_um * 1e-6);
     let driver = IoDriver::aib();
@@ -111,13 +121,8 @@ pub fn lateral_eye(
             c.resistor(aout, Circuit::GND, 50.0);
         }
     }
-    measure_eye(
-        &c,
-        vout_probe(&c, vout),
-        config.bits,
-        11,
-        config.data_rate_bps,
-    )
+    let probe = vout_probe(&c, vout);
+    (c, probe)
 }
 
 /// Simulates the Glass 3D vertical (stacked-via) eye: the victim column
@@ -209,17 +214,17 @@ fn measure_eye(
     // per-source runs fan out across workers; summing in fixed source
     // order keeps the result identical for any worker count.
     let sources = c.source_indices();
+    let probes = [Probe::Voltage(probe)];
+    let run = |deck: &Circuit| {
+        simulate(deck, &config, &probes).map(|r| {
+            let TranResult { times, mut waves } = r;
+            (times, waves.swap_remove(0))
+        })
+    };
     let (times, v) = if sources.len() <= 1 {
-        let result = simulate(c, &config)?;
-        let v = result.voltage(probe);
-        (result.times, v)
+        run(c)?
     } else {
-        let per = techlib::par::ordered_map(&sources, |&s| {
-            simulate(&c.single_source(s), &config).map(|r| {
-                let v = r.voltage(probe);
-                (r.times, v)
-            })
-        });
+        let per = techlib::par::ordered_map(&sources, |&s| run(&c.single_source(s)));
         let mut acc: Option<(Vec<f64>, Vec<f64>)> = None;
         for trace in per {
             let (t, w) = trace?;

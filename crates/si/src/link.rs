@@ -8,8 +8,8 @@
 //! per technology. Interconnect power comes from the charge the source
 //! delivers per transition, scaled to the 0.7 Gbps toggle pattern.
 
-use circuit::netlist::Circuit;
-use circuit::tran::{cross_time, simulate, TranConfig};
+use circuit::netlist::{Circuit, NodeId};
+use circuit::tran::{cross_time, simulate, Probe, TranConfig};
 use circuit::CircuitError;
 use serde::{Deserialize, Serialize};
 use techlib::bump::BumpModel;
@@ -100,10 +100,21 @@ const STEP_DELAY_S: f64 = 50e-12;
 /// Driver output edge time (see [`circuit::driver::step_data`]).
 const STEP_EDGE_S: f64 = 20e-12;
 
-fn build_deck(
-    channel: Option<&ChannelKind>,
-    spec: &InterposerSpec,
-) -> (Circuit, usize, circuit::netlist::NodeId) {
+/// A transient link deck: TX → bumps → channel → RX.
+#[derive(Debug, Clone)]
+pub struct LinkDeck {
+    /// The circuit.
+    pub circuit: Circuit,
+    /// Element index of the TX source, whose branch current is the
+    /// charge the link draws.
+    pub source: usize,
+    /// The RX pad, where the 50 % arrival is measured.
+    pub rx: NodeId,
+}
+
+/// Builds the deck of `channel` on `spec`, or with `None` the zero-length
+/// baseline deck (driver + bumps + RX only).
+pub fn link_deck(channel: Option<&ChannelKind>, spec: &InterposerSpec) -> LinkDeck {
     let driver = IoDriver::aib();
     let bump = BumpModel::microbump(spec);
     let mut c = Circuit::new();
@@ -164,37 +175,59 @@ fn build_deck(
     c.resistor(ch_out, rx_pad, bump.resistance_ohm.max(1e-4));
     c.capacitor(rx_pad, Circuit::GND, bump.capacitance_f);
     circuit::driver::add_rx(&mut c, &IoDriver::aib(), rx_pad);
-    (c, src, rx_pad)
+    LinkDeck {
+        circuit: c,
+        source: src,
+        rx: rx_pad,
+    }
 }
 
-fn deck_t50_and_charge(
-    channel: Option<&ChannelKind>,
-    spec: &InterposerSpec,
-) -> Result<(f64, f64), CircuitError> {
-    let (c, src, rx) = build_deck(channel, spec);
+/// The 50 % arrival (relative to the source's own 50 % point) and the
+/// charge the source delivers, of one deck.
+fn deck_t50_and_charge(deck: &LinkDeck) -> Result<(f64, f64), CircuitError> {
     let result = simulate(
-        &c,
+        &deck.circuit,
         &TranConfig {
             t_stop: 3e-9,
             dt: 0.5e-12,
         },
+        &[Probe::Voltage(deck.rx), Probe::Current(deck.source)],
     )?;
-    let v_rx = result.voltage(rx);
+    let times = &result.times;
     // Reference the source waveform's own 50 % point (delay + half edge).
-    let t50 = cross_time(&result.times, &v_rx, calib::VDD / 2.0, true, 0.0)
+    let t50 = cross_time(times, &result.waves[0], calib::VDD / 2.0, true, 0.0)
         .ok_or(CircuitError::InvalidParameter { parameter: "t50" })?
         - (STEP_DELAY_S + STEP_EDGE_S / 2.0);
     // Charge drawn by the source over the transition.
-    let i = result
-        .branch_current(src)
-        .ok_or(CircuitError::InvalidElement {
-            reason: "tx source has no branch current",
-        })?;
+    let i = &result.waves[1];
     let mut charge = 0.0;
-    for k in 1..result.times.len() {
-        charge += 0.5 * (i[k] + i[k - 1]) * (result.times[k] - result.times[k - 1]);
+    for k in 1..times.len() {
+        charge += 0.5 * (i[k] + i[k - 1]) * (times[k] - times[k - 1]);
     }
     Ok((t50, charge.abs()))
+}
+
+/// The zero-length baseline deck's measurements on one spec. Every link
+/// on that spec is reported relative to them, so links that share a spec
+/// can share one baseline run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkBaseline {
+    /// 50 % arrival at the RX pad, s.
+    t50_s: f64,
+    /// Charge the source delivers over the transition, C.
+    charge_c: f64,
+}
+
+impl LinkBaseline {
+    /// Simulates the baseline deck on `spec`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures from the transient analysis.
+    pub fn simulate(spec: &InterposerSpec) -> Result<LinkBaseline, CircuitError> {
+        let (t50_s, charge_c) = deck_t50_and_charge(&link_deck(None, spec))?;
+        Ok(LinkBaseline { t50_s, charge_c })
+    }
 }
 
 /// Simulates one link and reports the Table V delay/power split.
@@ -216,6 +249,20 @@ pub fn simulate_link_with(
     channel: &ChannelKind,
     spec: &InterposerSpec,
 ) -> Result<LinkReport, CircuitError> {
+    simulate_link_from(channel, spec, &LinkBaseline::simulate(spec)?)
+}
+
+/// [`simulate_link_with`] relative to a baseline already simulated on
+/// the same `spec`.
+///
+/// # Errors
+///
+/// Propagates solver failures from the transient analysis.
+pub fn simulate_link_from(
+    channel: &ChannelKind,
+    spec: &InterposerSpec,
+    baseline: &LinkBaseline,
+) -> Result<LinkReport, CircuitError> {
     if techlib::faults::armed("si.link") {
         // Injected fault: report the link deck as singular, the same
         // error a degenerate MNA system would produce.
@@ -223,25 +270,22 @@ pub fn simulate_link_with(
     }
     techlib::obs::add(techlib::obs::SI_LINKS_SIMULATED, 1);
     let driver = IoDriver::aib();
-    let bump = BumpModel::microbump(spec);
-    let (t50_base, q_base) = deck_t50_and_charge(None, spec)?;
-    let (t50_chan, q_chan) = deck_t50_and_charge(Some(channel), spec)?;
+    let LinkBaseline {
+        t50_s: t50_base,
+        charge_c: q_base,
+    } = *baseline;
+    let (t50_chan, q_chan) = deck_t50_and_charge(&link_deck(Some(channel), spec))?;
     let toggle_rate = 0.5 * calib::DATA_RATE_BPS * calib::TABLE5_LINK_ACTIVITY;
     let e_base = q_base * calib::VDD;
     let e_chan = q_chan * calib::VDD;
+    // The local-bump loading stays in the driver column, as the paper
+    // has it (driver delay is constant per technology).
     Ok(LinkReport {
         driver_delay_ps: driver.intrinsic_delay_ps + t50_base * 1e12,
-        interconnect_delay_ps: (t50_chan - t50_base) * 1e12,
+        interconnect_delay_ps: ((t50_chan - t50_base) * 1e12).max(0.0),
         driver_power_uw: (driver.full_rate_power_w() + e_base * toggle_rate) * 1e6,
         interconnect_power_uw: (e_chan - e_base).max(0.0) * toggle_rate * 1e6,
         length_um: channel.length_um_with(spec),
-    })
-    .map(|mut r| {
-        // Keep the local-bump loading in the driver column, as the paper
-        // does (driver delay is constant per technology).
-        let _ = bump;
-        r.interconnect_delay_ps = r.interconnect_delay_ps.max(0.0);
-        r
     })
 }
 

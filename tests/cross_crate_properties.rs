@@ -2,7 +2,7 @@
 
 use chiplet::bumpmap::BumpPlan;
 use circuit::netlist::{Circuit, Waveform};
-use circuit::tran::{simulate, TranConfig};
+use circuit::tran::{simulate, Probe, TranConfig};
 use netlist::fm::{explode, fm_bipartition, ClusterGraph, FmConfig};
 use netlist::openpiton::two_tile_openpiton;
 use proptest::prelude::*;
@@ -89,8 +89,8 @@ proptest! {
         c.resistor(a, b, r_ohm);
         let cap = c_ff * 1e-15;
         c.capacitor(b, Circuit::GND, cap);
-        let result = simulate(&c, &TranConfig { t_stop: 60.0 * r_ohm * cap + 1e-9, dt: (r_ohm * cap / 50.0).max(1e-13) }).unwrap();
-        let i = result.branch_current(0).unwrap();
+        let result = simulate(&c, &TranConfig { t_stop: 60.0 * r_ohm * cap + 1e-9, dt: (r_ohm * cap / 50.0).max(1e-13) }, &[Probe::Current(0)]).unwrap();
+        let i = &result.waves[0];
         let mut q = 0.0;
         for k in 1..result.times.len() {
             q += 0.5 * (i[k] + i[k - 1]) * (result.times[k] - result.times[k - 1]);
