@@ -38,9 +38,8 @@ const TECHS_ENV: &str = "FLOW_TIMING_TECHS";
 /// root), so smoke runs don't clobber the published numbers.
 const OUT_ENV: &str = "FLOW_TIMING_OUT";
 /// Worker counts for the parallel children. One worker isolates the
-/// router's CPU cost (no span overlap, no speculative batching); the
-/// widest entry exercises cross-tech fan-out plus intra-tech speculative
-/// batching (`router.batch_rounds > 0` is CI-gated at this width).
+/// router's CPU cost (no span overlap); the widest entry exercises the
+/// cross-tech fan-out.
 const WORKER_SWEEP: [usize; 2] = [1, 4];
 
 /// Resolves the `FLOW_TIMING_TECHS` filter against the packaged set.
@@ -284,8 +283,8 @@ fn main() {
         // route.nets span totals (per-tech and summed — at one worker
         // the spans never overlap, so the sum is the router's true CPU
         // cost and the basis for the CI perf ceiling) plus the hot-path
-        // work counters (bucket pops, expansions, batching, window
-        // fallbacks, incremental/conflict re-routes).
+        // work counters (pops, expansions, window fallbacks, incremental
+        // re-routes).
         (
             "router".into(),
             sweep
@@ -295,8 +294,8 @@ fn main() {
                 .map_or(serde_json::Value::Null, bench::router_value),
         ),
         // One entry per sweep width: cold/warm seconds plus that width's
-        // router distillation. The widest entry is where speculative
-        // batching must fire (router.batch_rounds > 0).
+        // router distillation (the router's work counters are the same
+        // at every width).
         ("parallel_sweep".into(), sweep_value),
         // Stage-by-stage breakdown of the widest parallel cold run,
         // recorded out-of-band by `techlib::obs` (the sequential child

@@ -120,21 +120,7 @@ pub fn router_value(stages: &serde_json::Value) -> serde_json::Value {
         ("route_nets_calls".into(), span("calls")),
         ("route_nets_total_ms".into(), span("total_ms")),
         ("nets_routed".into(), counter("router.nets_routed")),
-        ("batch_rounds".into(), counter("router.batch_rounds")),
-        (
-            "batch_candidates".into(),
-            counter("router.batch_candidates"),
-        ),
-        (
-            "batch_conflict_rejects".into(),
-            counter("router.batch_conflict_rejects"),
-        ),
         ("heap_pops".into(), counter("router.heap_pops")),
-        ("bucket_pops".into(), counter("router.bucket_pops")),
-        (
-            "heuristic_prunes".into(),
-            counter("router.heuristic_prunes"),
-        ),
         ("expansions".into(), counter("router.expansions")),
         (
             "window_fallbacks".into(),
@@ -143,10 +129,6 @@ pub fn router_value(stages: &serde_json::Value) -> serde_json::Value {
         (
             "incremental_reroutes".into(),
             counter("router.incremental_reroutes"),
-        ),
-        (
-            "conflict_reroutes".into(),
-            counter("router.conflict_reroutes"),
         ),
         (
             "route_nets_by_tech".into(),
@@ -180,10 +162,7 @@ mod tests {
                 "counters": {
                     "router.nets_routed": 530,
                     "router.heap_pops": 9001,
-                    "router.bucket_pops": 9001,
-                    "router.batch_candidates": 40,
-                    "router.batch_conflict_rejects": 7,
-                    "router.heuristic_prunes": 11,
+                    "router.incremental_reroutes": 40,
                     "router.window_fallbacks": 3
                 },
                 "route_nets_by_tech": {
@@ -196,13 +175,11 @@ mod tests {
         assert_eq!(r.get("route_nets_calls").and_then(|v| v.as_u64()), Some(5));
         assert_eq!(r.get("nets_routed").and_then(|v| v.as_u64()), Some(530));
         assert_eq!(r.get("heap_pops").and_then(|v| v.as_u64()), Some(9001));
-        assert_eq!(r.get("bucket_pops").and_then(|v| v.as_u64()), Some(9001));
-        assert_eq!(r.get("batch_candidates").and_then(|v| v.as_u64()), Some(40));
         assert_eq!(
-            r.get("batch_conflict_rejects").and_then(|v| v.as_u64()),
-            Some(7)
+            r.get("incremental_reroutes").and_then(|v| v.as_u64()),
+            Some(40)
         );
-        assert_eq!(r.get("heuristic_prunes").and_then(|v| v.as_u64()), Some(11));
+        assert_eq!(r.get("window_fallbacks").and_then(|v| v.as_u64()), Some(3));
         // Counters absent from the snapshot report zero, not null.
         assert_eq!(r.get("expansions").and_then(|v| v.as_u64()), Some(0));
         // The per-tech map passes through intact.

@@ -11,17 +11,13 @@
 //! * [`try_ordered_map`] — same for fallible tasks; when several fail, the
 //!   error reported is the *first failing input's* error, exactly as a
 //!   sequential loop would report (later tasks' work is discarded);
-//! * [`join`] — run two closures concurrently, results in argument order;
-//! * [`ScratchPool`] — reusable per-worker scratch buffers that survive
-//!   across fan-out calls (the router's A* search state, for example).
+//! * [`join`] — run two closures concurrently, results in argument order.
 //!
 //! Thread count is controlled by the `CODESIGN_THREADS` environment
 //! variable (see [`THREADS_ENV`]); `CODESIGN_THREADS=1` degenerates every
 //! helper to a plain in-order loop on the calling thread.
 
-pub use techlib::par::{
-    join, ordered_map, ordered_map_with, thread_count, ScratchPool, THREADS_ENV,
-};
+pub use techlib::par::{join, ordered_map, ordered_map_with, thread_count, THREADS_ENV};
 
 /// Applies a fallible `f` to every item in parallel. On success returns
 /// the results in input order; on failure returns the error belonging to

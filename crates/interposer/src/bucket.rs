@@ -32,11 +32,10 @@
 //!    overflow tick, so draining the ring before rebasing onto the
 //!    overflow minimum preserves the global order.
 //!
-//! The retained binary heap (`HeapFrontier`, compiled for tests and
-//! the `frontier-oracle` feature) is the differential oracle: the
-//! proptests below drive both queues with the same random bounded-cost
-//! push/pop schedules — tie storms included — and demand identical pop
-//! sequences.
+//! The retained binary heap (`HeapFrontier`, compiled for tests only)
+//! is the differential oracle: the proptests below drive both queues
+//! with the same random bounded-cost push/pop schedules — tie storms
+//! included — and demand identical pop sequences.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -100,10 +99,6 @@ impl PartialOrd for FrontierItem {
 /// implementations pop in the identical total order; only the constant
 /// factors differ.
 pub trait FrontierQueue {
-    /// True for the bucket implementation (drives the
-    /// `router.bucket_pops` counter attribution).
-    const IS_BUCKET: bool;
-
     /// An empty queue. Allocation happens here; [`FrontierQueue::begin`]
     /// reuses it.
     fn new() -> Self;
@@ -125,10 +120,6 @@ pub trait FrontierQueue {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Visits every queued entry in unspecified order (the certificate
-    /// fold over the unpopped frontier).
-    fn for_each(&self, f: impl FnMut(&FrontierItem));
 }
 
 #[inline]
@@ -150,9 +141,6 @@ pub struct BucketQueue {
     /// Slot validity stamps: a slot is live only when its stamp equals
     /// `generation`, which makes [`BucketQueue::begin`] O(1).
     slot_gen: Vec<u32>,
-    /// Slots stamped this generation (bounds the certificate fold to
-    /// touched slots instead of the whole ring).
-    active: Vec<u32>,
     generation: u32,
     /// Absolute tick the pop scan resumes from; monotone within one
     /// search.
@@ -204,20 +192,16 @@ impl BucketQueue {
         if self.slot_gen[slot] != self.generation {
             self.ring[slot].clear();
             self.slot_gen[slot] = self.generation;
-            self.active.push(slot as u32);
         }
         self.ring[slot].push(item);
     }
 }
 
 impl FrontierQueue for BucketQueue {
-    const IS_BUCKET: bool = true;
-
     fn new() -> Self {
         BucketQueue {
             ring: (0..RING).map(|_| BinaryHeap::new()).collect(),
             slot_gen: vec![0; RING],
-            active: Vec::new(),
             generation: 1,
             cursor: 0,
             ring_len: 0,
@@ -234,7 +218,6 @@ impl FrontierQueue for BucketQueue {
         } else {
             self.generation += 1;
         }
-        self.active.clear();
         self.cursor = 0;
         self.ring_len = 0;
         self.overflow.clear();
@@ -287,29 +270,16 @@ impl FrontierQueue for BucketQueue {
     fn len(&self) -> usize {
         self.len
     }
-
-    fn for_each(&self, mut f: impl FnMut(&FrontierItem)) {
-        for &slot in &self.active {
-            for item in self.ring[slot as usize].iter() {
-                f(item);
-            }
-        }
-        for item in &self.overflow {
-            f(item);
-        }
-    }
 }
 
-/// The retained global binary heap, kept as the differential oracle
-/// behind a test/feature gate. Pop order is the reference the bucket
-/// queue must reproduce bit-for-bit.
-#[cfg(any(test, feature = "frontier-oracle"))]
+/// The retained global binary heap, kept in test builds as the
+/// differential oracle. Pop order is the reference the bucket queue
+/// must reproduce bit-for-bit.
+#[cfg(test)]
 pub struct HeapFrontier(BinaryHeap<FrontierItem>);
 
-#[cfg(any(test, feature = "frontier-oracle"))]
+#[cfg(test)]
 impl FrontierQueue for HeapFrontier {
-    const IS_BUCKET: bool = false;
-
     fn new() -> Self {
         HeapFrontier(BinaryHeap::new())
     }
@@ -328,10 +298,6 @@ impl FrontierQueue for HeapFrontier {
 
     fn len(&self) -> usize {
         self.0.len()
-    }
-
-    fn for_each(&self, f: impl FnMut(&FrontierItem)) {
-        self.0.iter().for_each(f);
     }
 }
 
@@ -474,13 +440,6 @@ mod tests {
         assert!(q.pop().is_none());
         q.push(item(1.0, 3));
         assert_eq!(q.pop().unwrap().node, 3);
-        // for_each sees exactly the live entries.
-        q.push(item(2.0, 4));
-        q.push(item(50_000.0, 5));
-        let mut seen: Vec<usize> = Vec::new();
-        q.for_each(|it| seen.push(it.node));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![4, 5]);
     }
 
     fn splitmix64(mut x: u64) -> u64 {

@@ -127,17 +127,6 @@ impl GridWindow {
     pub fn covers(&self, grid: &RoutingGrid) -> bool {
         self.x0 == 0 && self.y0 == 0 && self.x1 + 1 == grid.cols && self.y1 + 1 == grid.rows
     }
-
-    /// True when the two windows share no gcell (layers are always all
-    /// in a window, so lateral disjointness is node disjointness). The
-    /// router's speculative batch former admits a net into a batch only
-    /// when its window is disjoint from every already-admitted one —
-    /// nets that cannot read or dirty each other's congestion unless a
-    /// search escalates beyond its initial window (which the footprint
-    /// validation still catches).
-    pub fn disjoint(&self, other: &GridWindow) -> bool {
-        self.x1 < other.x0 || other.x1 < self.x0 || self.y1 < other.y0 || other.y1 < self.y0
-    }
 }
 
 #[cfg(test)]
@@ -218,39 +207,6 @@ mod tests {
         let edge = g.window((1, 108), (2, 109), 4);
         assert_eq!((edge.x0, edge.y0, edge.x1, edge.y1), (0, 104, 6, 109));
         assert!(g.window((50, 50), (60, 60), usize::MAX).covers(&g));
-    }
-
-    #[test]
-    fn window_disjointness_is_symmetric_and_tight() {
-        let a = GridWindow {
-            x0: 10,
-            y0: 10,
-            x1: 20,
-            y1: 20,
-        };
-        let apart = GridWindow {
-            x0: 21,
-            y0: 10,
-            x1: 30,
-            y1: 20,
-        };
-        let corner = GridWindow {
-            x0: 20,
-            y0: 20,
-            x1: 25,
-            y1: 25,
-        };
-        let above = GridWindow {
-            x0: 0,
-            y0: 21,
-            x1: 40,
-            y1: 30,
-        };
-        assert!(a.disjoint(&apart) && apart.disjoint(&a));
-        // Inclusive bounds: sharing the single gcell (20, 20) overlaps.
-        assert!(!a.disjoint(&corner) && !corner.disjoint(&a));
-        assert!(a.disjoint(&above) && above.disjoint(&a));
-        assert!(!a.disjoint(&a));
     }
 
     #[test]

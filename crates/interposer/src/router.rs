@@ -10,7 +10,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! The A* inner loop is the whole runtime of the flow, so it is built
+//! The A* inner loop is most of the flow's runtime, so it is built
 //! around these mechanisms (the exactness arguments live in DESIGN.md
 //! §16):
 //!
@@ -18,78 +18,47 @@
 //!   the open set is a Dial-style ring of cost-tick slots scanned by a
 //!   monotone cursor instead of a global binary heap, with per-slot
 //!   mini-heaps reproducing the exact `(total_cmp f, node)` pop order
-//!   of the historical `BinaryHeap`. The old heap survives behind the
-//!   `frontier-oracle` test gate as a differential oracle.
+//!   of the historical `BinaryHeap`. The old heap survives in test
+//!   builds as a differential oracle.
 //! * **Fused cost field** ([`crate::congestion::CostField`]) — the
 //!   history + present-overflow penalty is folded into one per-node
 //!   array maintained incrementally as paths commit (same expression,
 //!   same rounding), halving the random-access traffic of the
 //!   relaxation loop.
-//! * **Corridor-scaled heuristic** — per window attempt, the cheapest
-//!   lateral-entry excess over the window's gcells (layer bias +
-//!   congestion floor, from `CostField::corridor_floor`) scales the
-//!   octile/Manhattan distance into a sharper still-admissible lower
-//!   bound: every in-window lateral step pays at least that excess on
-//!   top of its geometric length. On uncongested corridors the floor is
-//!   zero and the heuristic — and therefore every popped bit — is
-//!   unchanged.
 //! * **Reusable search scratch** (`SearchScratch`) — per-node search
-//!   state and the read-footprint bitmap are allocated once per worker
-//!   and *epoch-stamped*: a search begins by bumping a generation
-//!   counter, so resetting costs O(1) instead of re-initialising
-//!   `node_count` floats per net; the bucket frontier resets the same
-//!   way. Frontier entries carry their `g` value and stale pops
-//!   (entries superseded by a later relaxation) are skipped; `dist` is
-//!   monotone non-increasing, so the skipped expansion would have
-//!   relaxed nothing — results are bit-identical.
+//!   state is allocated once per [`route_all`] call and *epoch-stamped*:
+//!   a search begins by bumping a generation counter, so resetting costs
+//!   O(1) instead of re-initialising `node_count` floats per net; the
+//!   bucket frontier resets the same way. Frontier entries carry their
+//!   `g` value and stale pops (entries superseded by a later relaxation)
+//!   are skipped; `dist` is monotone non-increasing, so the skipped
+//!   expansion would have relaxed nothing — results are bit-identical.
 //! * **Windowed search** — each net searches a bounding box around its
 //!   endpoints inflated by [`INITIAL_WINDOW_MARGIN`] gcells and takes
 //!   the path it finds. Blockage and congestion are soft penalties, so a
 //!   window containing both endpoints always contains *a* path; only if
 //!   the window yields none does the margin grow geometrically
 //!   ([`WINDOW_GROWTH`]) until it covers the grid — the windowed router
-//!   therefore routes every net the full-grid search routes. The search
-//!   still tracks a cost certificate (the smallest admissible f-value
-//!   among the moves the window pruned): a goal cost strictly below that
-//!   bound provably equals the full-grid optimum (see `astar`), and
-//!   acceptances *without* that proof — windows that may have clipped a
-//!   cheaper congestion detour — are surfaced as the
-//!   `router.window_fallbacks` counter rather than paid for with a
-//!   full-grid re-search. A detour wider than the margin cannot fix a
-//!   fabric whose cut capacity is short; PathFinder history, not search
-//!   breadth, is what resolves genuine overflow.
+//!   therefore routes every net the full-grid search routes. Each
+//!   widening counts as one `router.window_fallbacks`. A detour wider
+//!   than the margin cannot fix a fabric whose cut capacity is short;
+//!   PathFinder history, not search breadth, is what resolves genuine
+//!   overflow.
 //! * **Overflow-driven incremental reroute** — after the first routing
 //!   pass, only nets whose committed paths cross an over-capacity gcell
 //!   are ripped up and re-negotiated against the still-committed usage
 //!   of every other net; untouched nets keep their paths. Classic
 //!   full-reroute PathFinder re-routes every net every iteration.
 //!
-//! # Parallel routing
+//! # Determinism
 //!
-//! With more than one worker ([`techlib::par::thread_count`]),
-//! [`route_all`] routes nets in *speculative batches*. The batch former
-//! scans a bounded lookahead of the in-order net list for up to a
-//! batch's worth of nets whose initial search windows are pairwise
-//! disjoint (the historical former chunked contiguous nets, whose
-//! interleaved bboxes essentially never qualified on real workloads —
-//! the `batch_rounds == 0` bug). Every picked net runs A* concurrently
-//! against a cost snapshot taken at batch formation, recording the set
-//! of gcells whose congestion it examined (its *footprint*, plus each
-//! window attempt's corridor-floor witness). Results are then committed
-//! strictly in net order across the whole span the batch covers:
-//! skipped-over nets route sequentially in place (their commits stamp
-//! the round's epoch), and a speculative route is accepted only if
-//! nothing committed since the snapshot dirtied a gcell in its
-//! footprint — it is re-routed on the spot otherwise. A* is a
-//! deterministic function of the cost values it reads, so an accepted
-//! route is bit-identical to what the sequential pass would have
-//! produced — `route_all` returns byte-identical results for any worker
-//! count, only wall-clock changes. When a batch's conflict rate makes
-//! speculation a net loss (half the batch or more had to be re-routed),
-//! the router falls back to the sequential path for the rest of the
-//! pass — a wall-clock policy that cannot change results. Per-worker
-//! `SearchScratch` buffers live in a [`techlib::par::ScratchPool`]
-//! so speculation allocates no per-net search state either.
+//! [`route_all`] routes nets one at a time, strictly in order, on the
+//! calling thread: the worker count does not enter it, so its result —
+//! and its work counters — are the same at every `CODESIGN_THREADS`.
+//! Parallelism lives a level up, across technology studies and
+//! scenarios. (Speculative intra-technology batching was removed after
+//! it measured slower than this loop at two workers; DESIGN.md §12 keeps
+//! the data.)
 
 use crate::bucket::{BucketQueue, FrontierItem, FrontierQueue};
 use crate::congestion::CostField;
@@ -111,20 +80,11 @@ pub const LAYER_BIAS_UM: f64 = 0.5;
 pub const HISTORY_INC_UM: f64 = 60.0;
 /// Rip-up-and-reroute iterations.
 pub const MAX_ITERATIONS: usize = 3;
-/// Speculatively routed nets per worker per batch. Larger batches expose
-/// more parallelism but raise the chance a footprint conflict forces a
-/// sequential re-route.
-pub const SPECULATIVE_BATCH_PER_WORKER: usize = 2;
-/// How far past the current net (in multiples of the batch length) the
-/// speculative batch former scans for window-disjoint partners. Nets in
-/// the lookahead that overlap the batch stay in place and route
-/// sequentially between the batch's ordered commits.
-pub const BATCH_LOOKAHEAD_FACTOR: usize = 8;
 /// Initial window margin: gcells added around a net's endpoint bounding
 /// box for the first windowed A* attempt.
 pub const INITIAL_WINDOW_MARGIN: usize = 8;
 /// Geometric growth factor applied to the window margin when an attempt
-/// fails its cost certificate (or finds no path at all).
+/// finds no path at all.
 pub const WINDOW_GROWTH: usize = 4;
 
 /// One routed net.
@@ -197,18 +157,6 @@ struct SearchCounters {
     pops: u64,
     expansions: u64,
     window_fallbacks: u64,
-    bucket_pops: u64,
-    heuristic_prunes: u64,
-}
-
-impl SearchCounters {
-    fn merge(&mut self, other: SearchCounters) {
-        self.pops += other.pops;
-        self.expansions += other.expansions;
-        self.window_fallbacks += other.window_fallbacks;
-        self.bucket_pops += other.bucket_pops;
-        self.heuristic_prunes += other.heuristic_prunes;
-    }
 }
 
 /// Per-node search state, packed so one relaxation touches a single
@@ -222,26 +170,18 @@ struct NodeState {
     stamp: u32,
 }
 
-/// Reusable, epoch-stamped A* state: one allocation per worker for the
-/// lifetime of a [`route_all`] call instead of two `node_count`-sized
-/// vectors per net.
+/// Reusable, epoch-stamped A* state: one allocation for the lifetime of
+/// a [`route_all`] call instead of two `node_count`-sized vectors per
+/// net.
 ///
 /// `nodes[i]` is valid only where `nodes[i].stamp == generation`;
 /// [`SearchScratch::begin_search`] bumps the generation, invalidating
-/// the whole state in O(1) — and the frontier queue (the bucket ring by
-/// default; the retained binary heap under the `frontier-oracle` gate)
-/// resets the same way. The footprint bitmap records every node whose
-/// congestion a speculative search read (across *all* window attempts
-/// of a net — earlier attempts decide whether the window expands, so
-/// their reads are part of the route's input), plus each attempt's
-/// corridor-floor witness node; it is cleared in O(touched) by
-/// [`SearchScratch::take_footprint`].
+/// the whole state in O(1) — and the frontier queue (the bucket ring;
+/// the binary-heap oracle in tests) resets the same way.
 struct SearchScratch<Q: FrontierQueue = BucketQueue> {
     nodes: Vec<NodeState>,
     generation: u32,
     frontier: Q,
-    fp_words: Vec<u64>,
-    fp_touched: Vec<u32>,
     counters: SearchCounters,
 }
 
@@ -258,8 +198,6 @@ impl<Q: FrontierQueue> SearchScratch<Q> {
             ],
             generation: 0,
             frontier: Q::new(),
-            fp_words: vec![0; nodes.div_ceil(64)],
-            fp_touched: Vec::new(),
             counters: SearchCounters::default(),
         }
     }
@@ -276,26 +214,6 @@ impl<Q: FrontierQueue> SearchScratch<Q> {
         } else {
             self.generation += 1;
         }
-    }
-
-    /// Records `node` in the read footprint (idempotent per net).
-    #[inline]
-    fn mark_footprint(&mut self, node: usize) {
-        let (w, b) = (node / 64, node % 64);
-        if self.fp_words[w] & (1u64 << b) == 0 {
-            self.fp_words[w] |= 1u64 << b;
-            self.fp_touched.push(node as u32);
-        }
-    }
-
-    /// Drains the footprint into a compact node list, clearing the
-    /// bitmap in O(touched) so the scratch is ready for the next net.
-    fn take_footprint(&mut self) -> Vec<u32> {
-        let touched = std::mem::take(&mut self.fp_touched);
-        for &node in &touched {
-            self.fp_words[node as usize / 64] &= !(1u64 << (node % 64));
-        }
-        touched
     }
 }
 
@@ -337,34 +255,10 @@ impl FastDiv {
 }
 
 /// One A* search from `start` to `goal`, restricted laterally to `win`.
-/// Returns the goal's settled cost, leaving the `prev` chain in
+/// Returns whether the goal was settled, leaving the `prev` chain in
 /// `scratch` for reconstruction. Identical pop order and relaxation
 /// sequence to the historical full-grid router when `win` covers the
-/// grid and `hscale == 1.0`.
-///
-/// `hscale ≥ 1.0` multiplies the geometric heuristic into the corridor-
-/// scaled lower bound of the caller (see [`route_with_margin`]); it
-/// affects only the *queue keys*, never the relaxed `dist` values.
-///
-/// `pruned_min` is set to the smallest admissible f-value (`g` + step +
-/// layer bias + plain `h`, congestion ≥ 0 dropped) among the moves the
-/// *window* rejected — moves off the grid itself don't count, the
-/// full-grid search rejects those too. It is the search's certificate:
-/// with a consistent heuristic, any full-grid path cheaper than the
-/// windowed result must cross a pruned boundary edge whose recorded
-/// bound undercuts it, so a goal cost strictly below `pruned_min` *is*
-/// the full-grid optimum (and, because equal-cost ties are excluded,
-/// the reconstructed path is the one the full-grid search would have
-/// returned, prev-pointer for prev-pointer). Under a sharpened
-/// heuristic (`hscale > 1.0`) the corridor floor is window-local, so a
-/// successful search additionally folds `dist + h` over every
-/// *unpopped* frontier entry into `pruned_min`: any full-grid path the
-/// sharpened search did not examine either crosses the window boundary
-/// (recorded above) or passes through a relaxed-but-unexpanded node
-/// still in the frontier (folded here), so the combined bound is a true
-/// full-grid certificate — `window_fallbacks` semantics survive the
-/// sharper heuristic.
-#[allow(clippy::too_many_arguments)]
+/// grid.
 fn astar<Q: FrontierQueue>(
     scratch: &mut SearchScratch<Q>,
     grid: &RoutingGrid,
@@ -373,18 +267,12 @@ fn astar<Q: FrontierQueue>(
     goal: usize,
     target: (usize, usize),
     win: &GridWindow,
-    hscale: f64,
-    record_footprint: bool,
-    pruned_min: &mut f64,
-) -> Option<f64> {
-    *pruned_min = f64::INFINITY;
+) -> bool {
     scratch.begin_search();
     let SearchScratch {
         nodes,
         generation,
         frontier,
-        fp_words,
-        fp_touched,
         counters,
     } = scratch;
     let gen = *generation;
@@ -431,11 +319,11 @@ fn astar<Q: FrontierQueue>(
 
     let mut pops = 0u64;
     let mut expansions = 0u64;
-    let mut found = None;
+    let mut found = false;
     while let Some(FrontierItem { f: _, g, node }) = frontier.pop() {
         pops += 1;
         if node == goal {
-            found = Some(nodes[node].dist);
+            found = true;
             break;
         }
         // Stale entry: a later relaxation already improved this node, so
@@ -465,34 +353,15 @@ fn astar<Q: FrontierQueue>(
         // offset. Off-grid and off-window handling — and every float
         // operation — match the historical all-purpose try_move
         // bit-for-bit.
-        let pruned_min = &mut *pruned_min;
         let mut lateral = |nx: i64, ny: i64, delta: i64, step: f64, frontier: &mut Q| {
             if nx < 0 || ny < 0 || nx >= grid.cols as i64 || ny >= grid.rows as i64 {
                 return;
             }
             let (nx, ny) = (nx as usize, ny as usize);
             if nx < win.x0 || ny < win.y0 || nx > win.x1 || ny > win.y1 {
-                // In the grid but outside the window: record the
-                // certificate bound this pruned move witnesses (plain
-                // h — outside the window the corridor floor is void).
-                let lb = d + step + layer_bias + h(nx, ny);
-                if lb < *pruned_min {
-                    *pruned_min = lb;
-                }
                 return;
             }
             let ni = (node as i64 + delta) as usize;
-            // Everything usage-dependent about this A* flows through the
-            // fused penalty read below, so the footprint is exactly the
-            // set of nodes it covers (plus the corridor witness the
-            // caller marks).
-            if record_footprint {
-                let (w, b) = (ni / 64, ni % 64);
-                if fp_words[w] & (1u64 << b) == 0 {
-                    fp_words[w] |= 1u64 << b;
-                    fp_touched.push(ni as u32);
-                }
-            }
             // Small upper-layer bias keeps routing low when uncongested.
             // `penalty[ni]` is the identical expression the historical
             // congestion closure computed (see `CostField`).
@@ -510,7 +379,7 @@ fn astar<Q: FrontierQueue>(
                     stamp: gen,
                 };
                 frontier.push(FrontierItem {
-                    f: nd + h(nx, ny) * hscale,
+                    f: nd + h(nx, ny),
                     g: nd,
                     node: ni,
                 });
@@ -546,13 +415,6 @@ fn astar<Q: FrontierQueue>(
                 return;
             }
             let ni = (node as i64 + delta) as usize;
-            if record_footprint {
-                let (w, b) = (ni / 64, ni % 64);
-                if fp_words[w] & (1u64 << b) == 0 {
-                    fp_words[w] |= 1u64 << b;
-                    fp_touched.push(ni as u32);
-                }
-            }
             let nd = d + VIA_COST_UM + penalty[ni] + nl as f64 * LAYER_BIAS_UM;
             let state = &mut nodes[ni];
             let cur = if state.stamp == gen {
@@ -567,7 +429,7 @@ fn astar<Q: FrontierQueue>(
                     stamp: gen,
                 };
                 frontier.push(FrontierItem {
-                    f: nd + h_here * hscale,
+                    f: nd + h_here,
                     g: nd,
                     node: ni,
                 });
@@ -578,58 +440,20 @@ fn astar<Q: FrontierQueue>(
     }
     counters.pops += pops;
     counters.expansions += expansions;
-    if Q::IS_BUCKET {
-        counters.bucket_pops += pops;
-    }
-    if hscale > 1.0 && found.is_some() {
-        // Certificate repair for the sharpened heuristic: fold the
-        // plain-h lower bound of every unexpanded frontier node into
-        // the pruned minimum (see the doc comment). Every entry counted
-        // here is an expansion the sharper bound saved.
-        let mut remaining = 0u64;
-        frontier.for_each(|item| {
-            remaining += 1;
-            let state = &nodes[item.node];
-            if state.stamp == gen {
-                let (ix, iy, _) = grid.decompose(item.node);
-                let lb = state.dist + h(ix, iy);
-                if lb < *pruned_min {
-                    *pruned_min = lb;
-                }
-            }
-        });
-        counters.heuristic_prunes += remaining;
-    }
     found
 }
 
 /// Routes one net with the windowed search: a bounding-box attempt whose
 /// path is taken as found, with geometrically growing margins (up to the
-/// full grid) only when a window yields no path at all. The pruned-
-/// frontier cost certificate (see [`astar`]) classifies each acceptance
-/// as provably-optimal or window-constrained for observability.
+/// full grid) only when a window yields no path at all.
 /// `initial_margin = usize::MAX` forces a single full-grid search (the
 /// historical behaviour; used by the coverage tests as the reference).
-///
-/// Each window attempt sharpens the heuristic with the corridor floor:
-/// the cheapest lateral-entry excess (layer bias + congestion penalty)
-/// any in-window node charges. Every lateral step of an in-window path
-/// pays at least `1 + floor / max_step` times its geometric cost — with
-/// `max_step` the largest preferred-direction step length the heuristic
-/// already assumes — so scaling `h` by that factor stays admissible and
-/// consistent (DESIGN.md §16). On a fresh corridor the floor is 0, the
-/// scale is exactly 1.0, and every search bit matches the historical
-/// router. The floor's witness node joins the speculative footprint:
-/// penalties only grow within a pass, so an untouched witness proves
-/// the whole window minimum — and hence the scale — is unchanged.
-#[allow(clippy::too_many_arguments)]
 fn route_with_margin<Q: FrontierQueue>(
     placement: &DiePlacement,
     grid: &RoutingGrid,
     net: &crate::diemap::NetSpec,
     cost: &CostField,
     scratch: &mut SearchScratch<Q>,
-    record_footprint: bool,
     initial_margin: usize,
 ) -> Option<RoutedNet> {
     let s = placement.dies[net.from.0].signal_position(net.from.1)?;
@@ -638,65 +462,22 @@ fn route_with_margin<Q: FrontierQueue>(
     let (tx, ty) = grid.gcell_of(t.0, t.1);
     let start = grid.index(sx, sy, 0);
     let goal = grid.index(tx, ty, 0);
-    let max_step = if grid.diagonal {
-        grid.gcell_um * std::f64::consts::SQRT_2
-    } else {
-        grid.gcell_um
-    };
 
     let mut margin = initial_margin;
     loop {
         let win = grid.window((sx, sy), (tx, ty), margin);
-        let full = win.covers(grid);
-        let (floor, witness) = cost.corridor_floor(grid, &win);
-        if record_footprint {
-            scratch.mark_footprint(witness);
+        if astar(scratch, grid, cost, start, goal, (tx, ty), &win) {
+            break;
         }
-        let hscale = if floor > 0.0 {
-            1.0 + floor / max_step
-        } else {
-            1.0
-        };
-        let mut pruned_min = f64::INFINITY;
-        let found = astar(
-            scratch,
-            grid,
-            cost,
-            start,
-            goal,
-            (tx, ty),
-            &win,
-            hscale,
-            record_footprint,
-            &mut pruned_min,
-        );
-        match found {
-            Some(c) => {
-                // The windowed path is taken as-is. When its cost beats
-                // every pruned boundary bound it provably equals the
-                // full-grid optimum (see `astar`); otherwise the window
-                // may have constrained a congestion detour, which the
-                // fallback counter records — PathFinder history, not a
-                // wider search, resolves genuine overflow, and detours
-                // wider than the margin cannot fix a fabric whose cut
-                // capacity is simply short.
-                if !full && c >= pruned_min {
-                    scratch.counters.window_fallbacks += 1;
-                }
-                break;
-            }
-            None if full => return None,
-            None => {
-                // No path inside the window (unreachable on a connected
-                // grid — blockage is soft — but the safety net keeps
-                // windowing strictly weaker than the full search):
-                // widen geometrically and retry. The footprint keeps
-                // accumulating — the failed attempt's congestion reads
-                // decided this expansion.
-                scratch.counters.window_fallbacks += 1;
-                margin = margin.saturating_mul(WINDOW_GROWTH).max(1);
-            }
+        if win.covers(grid) {
+            return None;
         }
+        // No path inside the window (unreachable on a connected grid —
+        // blockage is soft — but the safety net keeps windowing
+        // strictly weaker than the full search): widen geometrically
+        // and retry.
+        scratch.counters.window_fallbacks += 1;
+        margin = margin.saturating_mul(WINDOW_GROWTH).max(1);
     }
 
     // Reconstruct and measure in one pass: steps are single gcells, so a
@@ -739,56 +520,13 @@ fn route_with_margin<Q: FrontierQueue>(
     })
 }
 
-fn route_traced<Q: FrontierQueue>(
-    placement: &DiePlacement,
-    grid: &RoutingGrid,
-    net: &crate::diemap::NetSpec,
-    cost: &CostField,
-    scratch: &mut SearchScratch<Q>,
-    record_footprint: bool,
-) -> Option<RoutedNet> {
-    route_with_margin(
-        placement,
-        grid,
-        net,
-        cost,
-        scratch,
-        record_footprint,
-        INITIAL_WINDOW_MARGIN,
-    )
-}
-
 // ---------------------------------------------------------------------
-// Commit bookkeeping.
+// Rip-up bookkeeping.
 // ---------------------------------------------------------------------
-
-/// Adds `net`'s path to the usage map, stamping every modified node with
-/// `epoch` so later speculative routes of the same batch can detect the
-/// conflict.
-fn commit(grid: &RoutingGrid, net: &RoutedNet, usage: &mut [f64], dirty: &mut [u32], epoch: u32) {
-    for w in net.path.windows(2) {
-        let (x0, y0, l0) = w[0];
-        let (x1, y1, l1) = w[1];
-        if l0 != l1 {
-            // Vias consume track area on both layers.
-            let a = grid.index(x0, y0, l0);
-            let b = grid.index(x1, y1, l1);
-            usage[a] += grid.via_block_tracks;
-            usage[b] += grid.via_block_tracks;
-            dirty[a] = epoch;
-            dirty[b] = epoch;
-        } else {
-            let b = grid.index(x1, y1, l1);
-            usage[b] += 1.0;
-            dirty[b] = epoch;
-        }
-    }
-}
 
 /// Removes a previously committed path from the usage map (rip-up for
-/// the incremental reroute). Exact mirror of [`commit`]'s additions, in
-/// the same per-node order, so par and seq perform the identical
-/// floating-point sequence.
+/// the incremental reroute). Exact mirror of [`accumulate_path`]'s
+/// additions, in the same per-node order.
 fn uncommit(grid: &RoutingGrid, net: &RoutedNet, usage: &mut [f64]) {
     for w in net.path.windows(2) {
         let (x0, y0, l0) = w[0];
@@ -804,7 +542,7 @@ fn uncommit(grid: &RoutingGrid, net: &RoutedNet, usage: &mut [f64]) {
 
 /// True when `net`'s committed path touches any overflowed node — the
 /// rip-up criterion of the incremental reroute. Checks exactly the
-/// nodes [`commit`] charged.
+/// nodes [`accumulate_path`] charged.
 fn crosses_overflow(grid: &RoutingGrid, net: &RoutedNet, overflowed: &[bool]) -> bool {
     net.path.windows(2).any(|w| {
         let (x0, y0, l0) = w[0];
@@ -834,10 +572,8 @@ enum Reroute {
     Full,
 }
 
-/// Routes all lateral nets of `placement` on `grid`.
-///
-/// Uses [`techlib::par::thread_count`] workers; the result is
-/// byte-identical for every worker count (see the module docs).
+/// Routes all lateral nets of `placement` on `grid`, one net at a time
+/// in a fixed order (see the module docs).
 ///
 /// # Errors
 ///
@@ -847,73 +583,14 @@ pub fn route_all(
     placement: &DiePlacement,
     grid: &RoutingGrid,
 ) -> Result<Vec<RoutedNet>, RouteError> {
-    route_all_with_workers(placement, grid, techlib::par::thread_count())
-}
-
-/// [`route_all`] with an explicit worker count (for benchmarks and the
-/// parallel-equals-sequential tests).
-///
-/// # Errors
-///
-/// Returns [`RouteError::Unroutable`] if a net has no path at all.
-pub fn route_all_with_workers(
-    placement: &DiePlacement,
-    grid: &RoutingGrid,
-    workers: usize,
-) -> Result<Vec<RoutedNet>, RouteError> {
-    Ok(route_all_impl(placement, grid, workers, Reroute::Incremental)?.0)
-}
-
-/// Batching telemetry of one [`route_all`] call (flushed to
-/// [`techlib::obs`]; returned raw so tests can assert on it).
-#[derive(Debug, Default, Clone, Copy)]
-struct RouteStats {
-    batch_rounds: u64,
-    batch_candidates: u64,
-    batch_window_rejects: u64,
-    conflict_reroutes: u64,
-    incremental_reroutes: u64,
-}
-
-/// Routes `order[k]` sequentially against the live cost field and
-/// commits it, stamping `epoch` into the dirty map and refreshing the
-/// fused penalties the commit changed. The single code path behind the
-/// sequential pass, the between-batch nets, and conflict re-routes.
-#[allow(clippy::too_many_arguments)]
-fn route_and_commit(
-    placement: &DiePlacement,
-    grid: &RoutingGrid,
-    net: &crate::diemap::NetSpec,
-    usage: &mut [f64],
-    history: &[f64],
-    cost: &mut CostField,
-    dirty: &mut [u32],
-    epoch: u32,
-    scratch: &mut SearchScratch,
-) -> Result<RoutedNet, RouteError> {
-    let r = route_traced(placement, grid, net, cost, scratch, false)
-        .ok_or(RouteError::Unroutable { net: net.id })?;
-    commit(grid, &r, usage, dirty, epoch);
-    cost.refresh_path(grid, &r.path, usage, history);
-    Ok(r)
-}
-
-/// `routed[k] = r`, growing the vector when `k` is the next slot (first
-/// iteration) and overwriting in place on re-routes.
-fn store_routed(routed: &mut Vec<RoutedNet>, k: usize, r: RoutedNet) {
-    if k == routed.len() {
-        routed.push(r);
-    } else {
-        routed[k] = r;
-    }
+    route_all_impl(placement, grid, Reroute::Incremental)
 }
 
 fn route_all_impl(
     placement: &DiePlacement,
     grid: &RoutingGrid,
-    workers: usize,
     strategy: Reroute,
-) -> Result<(Vec<RoutedNet>, RouteStats), RouteError> {
+) -> Result<Vec<RoutedNet>, RouteError> {
     if techlib::faults::armed("router.escape") {
         // Injected fault: the escape/channel router gives up on the first
         // net, the same typed error a congested grid would produce.
@@ -943,44 +620,16 @@ fn route_all_impl(
             .then_with(|| a.id.cmp(&b.id))
     });
 
-    // Per-net initial search windows, precomputed once: the batch former
-    // admits only pairwise window-disjoint nets into a speculative
-    // batch. `None` marks nets without placed endpoints (they route to
-    // `Unroutable` on the sequential path).
-    let windows: Vec<Option<GridWindow>> = order
-        .iter()
-        .map(|net| {
-            let s = placement.dies[net.from.0].signal_position(net.from.1)?;
-            let t = placement.dies[net.to.0].signal_position(net.to.1)?;
-            Some(grid.window(
-                grid.gcell_of(s.0, s.1),
-                grid.gcell_of(t.0, t.1),
-                INITIAL_WINDOW_MARGIN,
-            ))
-        })
-        .collect();
-
-    // Epoch-stamped dirty map: `dirty[i] == epoch` means node `i`'s usage
-    // changed since the current speculative round's snapshot. Bumping the
-    // epoch clears the map in O(1). Epoch 0 is reserved so commits made
-    // before the first round never match a check.
-    let mut dirty: Vec<u32> = vec![0; n];
-    let mut epoch: u32 = 0;
-
     // The fused penalty field every search reads; maintained
     // incrementally per commit/rip-up and rebuilt at iteration
     // boundaries (history bumps touch arbitrary node sets).
     let mut cost = CostField::build(grid, &usage, &history);
-
-    // One scratch for the sequential path and conflict re-routes; the
-    // pool serves speculative workers across every batch of the call.
-    let mut main_scratch = SearchScratch::new(n);
-    let pool: techlib::par::ScratchPool<SearchScratch> = techlib::par::ScratchPool::new();
+    let mut scratch: SearchScratch = SearchScratch::new(n);
 
     // `routed[k]` stays aligned with `order[k]` until the final sort.
     let mut routed: Vec<RoutedNet> = Vec::with_capacity(order.len());
     let mut overflowed = vec![false; n];
-    let mut stats = RouteStats::default();
+    let mut incremental_reroutes = 0u64;
 
     for iteration in 0..MAX_ITERATIONS {
         let targets: Vec<usize> = if iteration == 0 {
@@ -1024,7 +673,7 @@ fn route_all_impl(
                     for &k in &targets {
                         uncommit(grid, &routed[k], &mut usage);
                     }
-                    stats.incremental_reroutes += targets.len() as u64;
+                    incremental_reroutes += targets.len() as u64;
                     targets
                 }
             };
@@ -1034,151 +683,33 @@ fn route_all_impl(
             targets
         };
 
-        // Speculation can be abandoned mid-pass when conflicts make it a
-        // net loss; the sequential fallback produces identical bytes, so
-        // this is purely a wall-clock policy.
-        let mut speculate = workers > 1;
-        let batch_len = (workers * SPECULATIVE_BATCH_PER_WORKER).max(1);
-        let lookahead = batch_len * BATCH_LOOKAHEAD_FACTOR;
-        let mut i = 0usize;
-        while i < targets.len() {
-            // Greedy batch former: scan the next `lookahead` in-order
-            // nets for up to `batch_len` whose initial windows are
-            // pairwise disjoint (nets that cannot read or dirty one
-            // another's congestion unless a search escalates its
-            // window — which the footprint validation still catches).
-            // The historical former chunked *contiguous* nets, and the
-            // longest-first order interleaves bbox-overlapping nets so
-            // thoroughly that whole-chunk disjointness essentially
-            // never held on the paper workload: `batch_rounds == 0`.
-            let mut picked: Vec<usize> = vec![i];
-            if speculate {
-                stats.batch_candidates += 1;
-                if let Some(w0) = windows[targets[i]] {
-                    let mut wins: Vec<GridWindow> = vec![w0];
-                    let end = (i + lookahead).min(targets.len());
-                    for j in (i + 1)..end {
-                        if picked.len() == batch_len {
-                            break;
-                        }
-                        stats.batch_candidates += 1;
-                        match windows[targets[j]] {
-                            Some(w) if wins.iter().all(|p| p.disjoint(&w)) => {
-                                picked.push(j);
-                                wins.push(w);
-                            }
-                            _ => stats.batch_window_rejects += 1,
-                        }
-                    }
-                }
+        for k in targets {
+            let net = order[k];
+            let r = route_with_margin(
+                placement,
+                grid,
+                net,
+                &cost,
+                &mut scratch,
+                INITIAL_WINDOW_MARGIN,
+            )
+            .ok_or(RouteError::Unroutable { net: net.id })?;
+            accumulate_path(grid, &r.path, &mut usage);
+            cost.refresh_path(grid, &r.path, &usage, &history);
+            // First pass (and full reroutes) append; incremental
+            // re-routes overwrite their slot.
+            if k == routed.len() {
+                routed.push(r);
+            } else {
+                routed[k] = r;
             }
-            if picked.len() < 2 {
-                // No window-disjoint partner in the lookahead (or
-                // speculation is off): plain sequential net.
-                let k = targets[i];
-                let r = route_and_commit(
-                    placement,
-                    grid,
-                    order[k],
-                    &mut usage,
-                    &history,
-                    &mut cost,
-                    &mut dirty,
-                    epoch,
-                    &mut main_scratch,
-                )?;
-                store_routed(&mut routed, k, r);
-                i += 1;
-                continue;
-            }
-
-            // Route the batch against the current-state snapshot,
-            // recording which nodes each A* read congestion from.
-            epoch += 1;
-            stats.batch_rounds += 1;
-            let speculative = techlib::par::ordered_map_with(workers, &picked, |&j| {
-                pool.with(
-                    || SearchScratch::new(n),
-                    |scratch| {
-                        let r =
-                            route_traced(placement, grid, order[targets[j]], &cost, scratch, true);
-                        (r, scratch.take_footprint())
-                    },
-                )
-            });
-
-            // Commit walk, strictly in net order, over every position
-            // the batch spans: batch members validate their footprint
-            // against nodes dirtied since the snapshot, and the
-            // in-between (window-overlapping) nets route sequentially —
-            // their commits stamp the current epoch so later batch
-            // members see their dirt. Net order is exactly the
-            // sequential order, so results stay byte-identical.
-            let last = *picked.last().unwrap_or(&i);
-            let mut conflicts = 0usize;
-            let mut spec = picked.iter().zip(speculative);
-            let mut next = spec.next();
-            for (pos, &k) in targets.iter().enumerate().take(last + 1).skip(i) {
-                let is_spec = matches!(next.as_ref(), Some((j, _)) if **j == pos);
-                let r = if is_spec {
-                    let (r, footprint) = match next.take() {
-                        Some((_, payload)) => payload,
-                        None => (None, Vec::new()), // unreachable: is_spec
-                    };
-                    next = spec.next();
-                    let clean = footprint.iter().all(|&node| dirty[node as usize] != epoch);
-                    match r {
-                        Some(r) if clean => {
-                            commit(grid, &r, &mut usage, &mut dirty, epoch);
-                            cost.refresh_path(grid, &r.path, &usage, &history);
-                            r
-                        }
-                        _ => {
-                            conflicts += 1;
-                            route_and_commit(
-                                placement,
-                                grid,
-                                order[k],
-                                &mut usage,
-                                &history,
-                                &mut cost,
-                                &mut dirty,
-                                epoch,
-                                &mut main_scratch,
-                            )?
-                        }
-                    }
-                } else {
-                    route_and_commit(
-                        placement,
-                        grid,
-                        order[k],
-                        &mut usage,
-                        &history,
-                        &mut cost,
-                        &mut dirty,
-                        epoch,
-                        &mut main_scratch,
-                    )?
-                };
-                store_routed(&mut routed, k, r);
-            }
-            stats.conflict_reroutes += conflicts as u64;
-            if 2 * conflicts >= picked.len() {
-                speculate = false;
-            }
-            i = last + 1;
         }
     }
     routed.sort_by_key(|r| r.id);
 
     // Flush the locally accumulated work counters out-of-band.
-    let mut totals = main_scratch.counters;
-    for scratch in pool.drain() {
-        totals.merge(scratch.counters);
-    }
+    let totals = scratch.counters;
     techlib::obs::add(techlib::obs::ROUTER_NETS_ROUTED, routed.len() as u64);
-    techlib::obs::add(techlib::obs::ROUTER_BATCH_ROUNDS, stats.batch_rounds);
     techlib::obs::add(techlib::obs::ROUTER_HEAP_POPS, totals.pops);
     techlib::obs::add(techlib::obs::ROUTER_EXPANSIONS, totals.expansions);
     techlib::obs::add(
@@ -1187,26 +718,9 @@ fn route_all_impl(
     );
     techlib::obs::add(
         techlib::obs::ROUTER_INCREMENTAL_REROUTES,
-        stats.incremental_reroutes,
+        incremental_reroutes,
     );
-    techlib::obs::add(
-        techlib::obs::ROUTER_CONFLICT_REROUTES,
-        stats.conflict_reroutes,
-    );
-    techlib::obs::add(
-        techlib::obs::ROUTER_BATCH_CANDIDATES,
-        stats.batch_candidates,
-    );
-    techlib::obs::add(
-        techlib::obs::ROUTER_BATCH_CONFLICT_REJECTS,
-        stats.batch_window_rejects,
-    );
-    techlib::obs::add(techlib::obs::ROUTER_BUCKET_POPS, totals.bucket_pops);
-    techlib::obs::add(
-        techlib::obs::ROUTER_HEURISTIC_PRUNES,
-        totals.heuristic_prunes,
-    );
-    Ok((routed, stats))
+    Ok(routed)
 }
 
 #[cfg(test)]
@@ -1290,54 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_batches_match_sequential_exactly() {
-        // The heart of the determinism guarantee: batched parallel
-        // routing must produce bit-identical paths to the one-net-at-a-
-        // time pass, including on a congested grid where speculative
-        // routes conflict and re-route.
-        let p = wide_micro_placement(16);
-        let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
-        let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
-        let seq = route_all_with_workers(&p, &grid, 1).unwrap();
-        for workers in [2, 4, 7] {
-            let par = route_all_with_workers(&p, &grid, workers).unwrap();
-            assert_eq!(par.len(), seq.len());
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.path, b.path, "net {} ({} workers)", a.id, workers);
-                assert!(a.length_um == b.length_um && a.vias == b.vias);
-            }
-        }
-    }
-
-    #[test]
-    fn speculative_batches_match_on_real_silicon_layout_and_fire() {
-        // Byte-identity at workers {1, 2, 4, 7} on the paper workload,
-        // AND the batch former must actually form batches at every
-        // parallel width — `batch_rounds == 0` silently regressing the
-        // parallel path to sequential is exactly the bug this PR fixes.
-        let p = place_dies(InterposerKind::Silicon25D);
-        let spec = InterposerSpec::for_kind(InterposerKind::Silicon25D);
-        let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
-        let (seq, seq_stats) = route_all_impl(&p, &grid, 1, Reroute::Incremental).unwrap();
-        assert_eq!(seq_stats.batch_rounds, 0, "sequential never speculates");
-        for workers in [2, 4, 7] {
-            let (par, stats) = route_all_impl(&p, &grid, workers, Reroute::Incremental).unwrap();
-            assert!(
-                stats.batch_rounds > 0,
-                "speculative batching must fire at {workers} workers \
-                 (candidates={}, window_rejects={})",
-                stats.batch_candidates,
-                stats.batch_window_rejects
-            );
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.path, b.path, "net {} ({workers} workers)", a.id);
-            }
-        }
-    }
-
-    #[test]
     fn bucket_frontier_reproduces_heap_frontier_paths() {
         // Full-layout differential oracle: route every net of the glass
         // workload (serpentine congestion, the hardest frontier
@@ -1352,12 +818,11 @@ mod tests {
         let mut usage = base_blockage(&p, &grid);
         let history = vec![0.0; n];
         let mut cost = CostField::build(&grid, &usage, &history);
-        let mut dirty = vec![0u32; n];
         let mut bucket: SearchScratch = SearchScratch::new(n);
         let mut heap: SearchScratch<HeapFrontier> = SearchScratch::new(n);
         for net in &p.nets {
-            let a = route_traced(&p, &grid, net, &cost, &mut bucket, false);
-            let b = route_traced(&p, &grid, net, &cost, &mut heap, false);
+            let a = route_with_margin(&p, &grid, net, &cost, &mut bucket, INITIAL_WINDOW_MARGIN);
+            let b = route_with_margin(&p, &grid, net, &cost, &mut heap, INITIAL_WINDOW_MARGIN);
             match (&a, &b) {
                 (Some(a), Some(b)) => {
                     assert_eq!(a.path, b.path, "net {}", net.id);
@@ -1367,13 +832,13 @@ mod tests {
                 _ => panic!("net {}: routability diverged", net.id),
             }
             if let Some(a) = a {
-                commit(&grid, &a, &mut usage, &mut dirty, 0);
+                accumulate_path(&grid, &a.path, &mut usage);
                 cost.refresh_path(&grid, &a.path, &usage, &history);
             }
         }
+        // Identical pop order means identical pop counts.
         assert!(bucket.counters.pops > 0);
-        assert_eq!(bucket.counters.pops, bucket.counters.bucket_pops);
-        assert_eq!(heap.counters.bucket_pops, 0);
+        assert_eq!(bucket.counters.pops, heap.counters.pops);
     }
 
     #[test]
@@ -1393,14 +858,9 @@ mod tests {
     }
 
     fn micro_placement() -> DiePlacement {
-        wide_micro_placement(4)
-    }
-
-    fn wide_micro_placement(signals: usize) -> DiePlacement {
-        // Two n-signal dies a few hundred µm apart on a tiny synthetic
-        // package; every net crosses the same gap, so batched routing
-        // sees real footprint conflicts.
-        micro_placement_at(signals, 50.0, 350.0, (600.0, 300.0))
+        // Two 4-signal dies a few hundred µm apart on a tiny synthetic
+        // package; every net crosses the same gap.
+        micro_placement_at(4, 50.0, 350.0, (600.0, 300.0))
     }
 
     fn micro_placement_at(
@@ -1496,17 +956,10 @@ mod tests {
         }
         let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
         let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
-        let seq = route_all_with_workers(&p, &grid, 1).unwrap();
-        assert_eq!(seq.len(), 7);
-        for net in &seq[..3] {
+        let routed = route_all(&p, &grid).unwrap();
+        assert_eq!(routed.len(), 7);
+        for net in &routed[..3] {
             assert_eq!(net.length_um, 0.0, "net {} is degenerate", net.id);
-        }
-        for workers in [2, 4] {
-            let par = route_all_with_workers(&p, &grid, workers).unwrap();
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.path, b.path, "net {} ({workers} workers)", a.id);
-            }
         }
     }
 
@@ -1563,12 +1016,12 @@ mod tests {
         let mut usage = base.clone();
         let history = vec![0.0; n];
         let mut cost = CostField::build(&grid, &usage, &history);
-        let mut dirty = vec![0u32; n];
         let mut scratch: SearchScratch = SearchScratch::new(n);
         let (mut len_win, mut len_full) = (0.0f64, 0.0f64);
         for net in &p.nets {
-            let windowed = route_traced(p, &grid, net, &cost, &mut scratch, false);
-            let full = route_with_margin(p, &grid, net, &cost, &mut scratch, false, usize::MAX);
+            let windowed =
+                route_with_margin(p, &grid, net, &cost, &mut scratch, INITIAL_WINDOW_MARGIN);
+            let full = route_with_margin(p, &grid, net, &cost, &mut scratch, usize::MAX);
             match (&windowed, &full) {
                 (Some(w), Some(f)) => {
                     assert_eq!(w.path.first(), f.path.first(), "net {} start", net.id);
@@ -1598,7 +1051,7 @@ mod tests {
                 ),
             }
             if let Some(w) = windowed {
-                commit(&grid, &w, &mut usage, &mut dirty, 0);
+                accumulate_path(&grid, &w.path, &mut usage);
                 cost.refresh_path(&grid, &w.path, &usage, &history);
             }
         }
@@ -1628,10 +1081,8 @@ mod tests {
             }
             usage.iter().filter(|&&u| u > grid.capacity).count()
         };
-        let inc = route_all_impl(&p, &grid, 1, Reroute::Incremental)
-            .unwrap()
-            .0;
-        let full = route_all_impl(&p, &grid, 1, Reroute::Full).unwrap().0;
+        let inc = route_all_impl(&p, &grid, Reroute::Incremental).unwrap();
+        let full = route_all_impl(&p, &grid, Reroute::Full).unwrap();
         assert_eq!(overflow(&inc), overflow(&full));
         assert_eq!(overflow(&inc), 0);
     }
@@ -1685,31 +1136,9 @@ mod tests {
                 }
                 usage.iter().filter(|&&u| u > grid.capacity).count()
             };
-            let inc = route_all_impl(&p, &grid, 1, Reroute::Incremental).unwrap().0;
-            let full = route_all_impl(&p, &grid, 1, Reroute::Full).unwrap().0;
+            let inc = route_all_impl(&p, &grid, Reroute::Incremental).unwrap();
+            let full = route_all_impl(&p, &grid, Reroute::Full).unwrap();
             prop_assert_eq!(overflow(&inc), overflow(&full));
-        }
-
-        /// (c) Parallel speculative routing is byte-identical to the
-        /// sequential pass at every worker count, on randomized
-        /// placements (`CODESIGN_THREADS ∈ {1,2,4,7}` equivalent — the
-        /// explicit-worker entry point is exactly what the env-driven
-        /// path calls).
-        #[test]
-        fn par_matches_seq_on_random_placements(seed in 0u64..(1u64 << 48)) {
-            let p = random_micro_placement(seed);
-            let spec = InterposerSpec::for_kind(p.tech);
-            let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
-            let seq = route_all_with_workers(&p, &grid, 1).unwrap();
-            for workers in [2usize, 4, 7] {
-                let par = route_all_with_workers(&p, &grid, workers).unwrap();
-                prop_assert_eq!(par.len(), seq.len());
-                for (a, b) in par.iter().zip(&seq) {
-                    prop_assert_eq!(a.id, b.id);
-                    prop_assert_eq!(&a.path, &b.path);
-                    prop_assert!(a.length_um == b.length_um && a.vias == b.vias);
-                }
-            }
         }
     }
 
@@ -1722,12 +1151,6 @@ mod tests {
         s.nodes[5].stamp = gen;
         s.begin_search();
         assert_ne!(s.nodes[5].stamp, s.generation, "stale stamp invalidated");
-        // Footprint marks dedupe and drain clears the bitmap for reuse.
-        s.mark_footprint(7);
-        s.mark_footprint(7);
-        assert_eq!(s.take_footprint(), vec![7]);
-        assert_eq!(s.fp_words[0], 0);
-        assert!(s.take_footprint().is_empty());
     }
 
     #[test]
@@ -1752,89 +1175,5 @@ mod tests {
                 assert_eq!(f.div(n), n / d, "n={n} d={d}");
             }
         }
-    }
-
-    #[test]
-    fn certificate_distinguishes_full_grid_from_clipped_windows() {
-        // The pruned-frontier certificate classifies acceptances for the
-        // `router.window_fallbacks` counter: a window covering the grid
-        // prunes nothing, so its bound is vacuously infinite (provably
-        // optimal), while a tight window around distant endpoints must
-        // prune boundary moves, giving a finite bound.
-        let p = micro_placement();
-        let spec = InterposerSpec::for_kind(InterposerKind::Glass25D);
-        let grid = RoutingGrid::new(p.footprint_um, &spec).unwrap();
-        let n = grid.node_count();
-        let usage = base_blockage(&p, &grid);
-        let history = vec![0.0; n];
-        let field = CostField::build(&grid, &usage, &history);
-        let mut scratch: SearchScratch = SearchScratch::new(n);
-        let s = grid.index(3, 3, 0);
-        let t = grid.index(12, 9, 0);
-        let full = grid.window((3, 3), (12, 9), usize::MAX);
-        let mut pruned_min = 0.0;
-        let cost = astar(
-            &mut scratch,
-            &grid,
-            &field,
-            s,
-            t,
-            (12, 9),
-            &full,
-            1.0,
-            false,
-            &mut pruned_min,
-        );
-        assert!(cost.is_some());
-        assert_eq!(pruned_min, f64::INFINITY, "nothing pruned on full grid");
-        // A tight window around distant endpoints must prune something,
-        // giving a finite certificate bound.
-        let tight = grid.window((3, 3), (12, 9), 1);
-        let cost_tight = astar(
-            &mut scratch,
-            &grid,
-            &field,
-            s,
-            t,
-            (12, 9),
-            &tight,
-            1.0,
-            false,
-            &mut pruned_min,
-        );
-        assert!(cost_tight.is_some());
-        assert!(pruned_min.is_finite(), "window boundary was reached");
-
-        // A sharpened search on a congested window still terminates with
-        // a sound certificate: the frontier fold leaves a finite bound
-        // (the unexpanded entries are real full-grid candidates) and
-        // counts them as heuristic prunes.
-        let mut hot = usage.clone();
-        for u in &mut hot {
-            *u += 30.0; // every gcell over capacity → floor > 0
-        }
-        let hot_field = CostField::build(&grid, &hot, &history);
-        let win = grid.window((3, 3), (12, 9), 2);
-        let (floor, _) = hot_field.corridor_floor(&grid, &win);
-        assert!(floor > 0.0, "saturated corridor must have a nonzero floor");
-        let hscale = 1.0 + floor / grid.gcell_um;
-        let before = scratch.counters.heuristic_prunes;
-        let sharp = astar(
-            &mut scratch,
-            &grid,
-            &hot_field,
-            s,
-            t,
-            (12, 9),
-            &win,
-            hscale,
-            false,
-            &mut pruned_min,
-        );
-        assert!(sharp.is_some());
-        assert!(
-            scratch.counters.heuristic_prunes > before,
-            "sharpened search should leave unexpanded frontier entries"
-        );
     }
 }

@@ -228,61 +228,6 @@ where
         .collect()
 }
 
-/// A pool of reusable per-worker scratch buffers.
-///
-/// [`ordered_map_with`] spawns fresh scoped threads per call, so
-/// thread-locals cannot carry expensive scratch state (large arenas,
-/// search arrays) across batches. A `ScratchPool` can: workers check a
-/// buffer out with [`ScratchPool::with`], use it for one item, and
-/// return it, so the pool converges on one buffer per *concurrent*
-/// worker for the lifetime of the pool regardless of how many batches
-/// run. The pool hands out whichever buffer is on top of its stack —
-/// callers must not depend on which worker gets which buffer, only on
-/// each buffer being exclusively held while `f` runs.
-pub struct ScratchPool<S> {
-    free: std::sync::Mutex<Vec<S>>,
-}
-
-impl<S> ScratchPool<S> {
-    /// An empty pool; buffers are created lazily by [`ScratchPool::with`].
-    pub fn new() -> ScratchPool<S> {
-        ScratchPool {
-            free: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<S>> {
-        // A panicking holder can only have been between checkout and
-        // check-in, where the Vec is untouched — the poison is benign.
-        self.free
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Checks out a buffer (creating one with `init` when the pool is
-    /// empty), runs `f` with exclusive access, and returns the buffer to
-    /// the pool. The lock is held only around checkout/check-in, never
-    /// while `f` runs.
-    pub fn with<T>(&self, init: impl FnOnce() -> S, f: impl FnOnce(&mut S) -> T) -> T {
-        let mut scratch = self.lock().pop().unwrap_or_else(init);
-        let out = f(&mut scratch);
-        self.lock().push(scratch);
-        out
-    }
-
-    /// Drains every pooled buffer (e.g. to merge per-worker statistics
-    /// accumulated inside them once the parallel phase is over).
-    pub fn drain(&self) -> Vec<S> {
-        std::mem::take(&mut *self.lock())
-    }
-}
-
-impl<S> Default for ScratchPool<S> {
-    fn default() -> Self {
-        ScratchPool::new()
-    }
-}
-
 /// A counting lease over a fixed worker budget, for callers that run
 /// **concurrent** [`ordered_map_with`] fan-outs and must not
 /// oversubscribe the machine (the `codesign serve` request workers).
@@ -466,44 +411,6 @@ mod tests {
             seen.iter().all(|&armed| armed),
             "every worker sees the parent scope"
         );
-    }
-
-    #[test]
-    fn scratch_pool_reuses_buffers_and_drains() {
-        let pool: ScratchPool<Vec<u32>> = ScratchPool::new();
-        let first = pool.with(Vec::new, |s| {
-            s.push(1);
-            s.as_ptr() as usize
-        });
-        // Sequential reuse: the same allocation comes back.
-        let second = pool.with(Vec::new, |s| {
-            assert_eq!(s, &vec![1]);
-            s.push(2);
-            s.as_ptr() as usize
-        });
-        assert_eq!(first, second);
-        let drained = pool.drain();
-        assert_eq!(drained, vec![vec![1, 2]]);
-        assert!(pool.drain().is_empty());
-    }
-
-    #[test]
-    fn scratch_pool_buffers_are_exclusive_under_contention() {
-        let pool: ScratchPool<Vec<u64>> = ScratchPool::new();
-        let items: Vec<u64> = (0..64).collect();
-        ordered_map_with(8, &items, |&i| {
-            pool.with(Vec::new, |s| {
-                // Exclusive access: our marker is still on top after a
-                // yield even with 8 workers hammering the pool.
-                s.push(i);
-                std::thread::yield_now();
-                assert_eq!(s.last(), Some(&i));
-            });
-        });
-        let drained = pool.drain();
-        assert!(!drained.is_empty() && drained.len() <= 8);
-        let total: usize = drained.iter().map(Vec::len).sum();
-        assert_eq!(total, 64, "every checkout recorded exactly once");
     }
 
     #[test]
